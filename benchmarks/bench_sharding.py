@@ -7,16 +7,11 @@ demo deployment: one coordinator engine over the loopback transport
 ``.rpa`` artifact.  The in-process backend (no pool) is recorded as the
 baseline.
 
-Three channel fabrics are compared at 2 workers:
-
-* ``queue`` -- whole frames pickled through mp queues (the per-task
-  serialized-byte baseline);
-* ``shm`` -- ciphertext slabs through shared-memory rings, only control
-  frames pickled.  The structural gate -- >= ``GATE_SHM_REDUCTION``x
-  fewer bytes pickled per task -- is enforced on every host (it is a
-  property of the encoding, not of core count);
-* remote TCP workers (:class:`ShardWorkerServer` fleets of 1 and 2),
-  recording req/s vs remote worker count.
+Local workers are forked onto socketpairs; remote TCP workers
+(:class:`ShardWorkerServer` fleets of 1 and 2) speak the same stream
+protocol, recording req/s vs remote worker count.  ``ipc`` records the
+per-task stream bytes (task frames out, replies in) at 2 local workers
+and at the largest remote fleet.
 
 Every mode's logits are checked bit-identical to the plaintext runner
 (the conformance suite pins the stronger cross-path guarantee).  The
@@ -66,9 +61,6 @@ RECORD_PATH = Path(__file__).resolve().parents[1] / "BENCH_sharding.json"
 GATE_SPEEDUP = 1.8
 GATE_MIN_CORES = 4
 
-#: Structural gate, enforced on every host: the shm channel must pickle
-#: >= this factor fewer bytes per task than the queue channel.
-GATE_SHM_REDUCTION = 10.0
 REMOTE_COUNTS = (1, 2)
 
 SCHEDULE = Schedule.INPUT_ALIGNED
@@ -195,32 +187,14 @@ def test_sharding_throughput(tmp_path):
                 registry, params, images, ShardExecutor(pool)
             )
             if workers == 2:
-                ipc["queue"] = pool.ipc_stats()
+                ipc["local"] = pool.ipc_stats()
         finally:
             pool.stop()
         check(logits, f"{workers} workers")
         by_workers[workers] = _stats(elapsed, lat, len(images))
 
-    # Channel comparison at 2 workers: the shm fabric moves ciphertext
-    # slabs through shared-memory rings, so only small control frames
-    # cross the pickling queues.
-    pool = _start_pool(tmp_path, 2, channels="shm")
-    try:
-        elapsed, lat, logits = _drive_clients(
-            registry, params, images, ShardExecutor(pool)
-        )
-        ipc["shm"] = pool.ipc_stats()
-    finally:
-        pool.stop()
-    check(logits, "shm channels")
-    shm_mode = _stats(elapsed, lat, len(images))
-
-    def _pickled_per_task(stats):
-        return stats["pickled_bytes"] / max(1, stats["tasks"])
-
-    shm_reduction = _pickled_per_task(ipc["queue"]) / _pickled_per_task(
-        ipc["shm"]
-    )
+    def _bytes_per_task(stats):
+        return stats["bytes"] / max(1, stats["tasks"])
 
     # Remote TCP workers: a localhost fleet of ShardWorkerServer
     # processes-worth of endpoints (in-process servers here; the frames
@@ -261,7 +235,6 @@ def test_sharding_throughput(tmp_path):
     rows = (
         [("in_process", in_process)]
         + [(f"{w} workers", stats) for w, stats in by_workers.items()]
-        + [("2 workers shm", shm_mode)]
         + [(f"{c} remote", stats) for c, stats in by_remote.items()]
     )
     for name, stats in rows:
@@ -274,10 +247,9 @@ def test_sharding_throughput(tmp_path):
         f"(gate {GATE_SPEEDUP}x, enforced: {gate_enforced})"
     )
     print(
-        f"per-task pickled bytes: queue "
-        f"{_pickled_per_task(ipc['queue']):,.0f} vs shm "
-        f"{_pickled_per_task(ipc['shm']):,.0f} "
-        f"({shm_reduction:.1f}x reduction, gate {GATE_SHM_REDUCTION}x)"
+        f"per-task stream bytes: 2 local workers "
+        f"{_bytes_per_task(ipc['local']):,.0f}, "
+        f"{max(REMOTE_COUNTS)} remote {_bytes_per_task(ipc['remote']):,.0f}"
     )
 
     payload = {
@@ -298,36 +270,25 @@ def test_sharding_throughput(tmp_path):
         "modes": {
             "in_process": in_process,
             **{f"workers_{w}": stats for w, stats in by_workers.items()},
-            "workers_2_shm": shm_mode,
             **{f"remote_{c}": stats for c, stats in by_remote.items()},
         },
         "ipc": {
-            "queue": ipc["queue"],
-            "shm": ipc["shm"],
-            "remote": ipc.get("remote", {}),
-            "queue_pickled_bytes_per_task": _pickled_per_task(ipc["queue"]),
-            "shm_pickled_bytes_per_task": _pickled_per_task(ipc["shm"]),
-            "payload_reduction_x": shm_reduction,
-            "gate_shm_reduction": GATE_SHM_REDUCTION,
+            "local": ipc["local"],
+            "remote": ipc["remote"],
+            "local_bytes_per_task": _bytes_per_task(ipc["local"]),
+            "remote_bytes_per_task": _bytes_per_task(ipc["remote"]),
         },
         "speedup_4w_vs_1w": speedup,
         "logits_bit_identical_to_plaintext": True,
         "note": (
-            "Workers fork + load_zoo the same memmapped .rpa artifact; the "
+            "Local workers fork onto socketpairs and load_zoo the same "
+            "memmapped .rpa artifact; the "
             "gate applies on hosts with >= 4 cores (a single-core container "
             "only measures the IPC overhead of the sharded path)."
         ),
     }
     RECORD_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {RECORD_PATH}")
-
-    # Structural gate, independent of core count: the shm channel must
-    # keep ciphertext slabs out of the pickled control frames.
-    assert shm_reduction >= GATE_SHM_REDUCTION, (
-        f"shm channel pickled only {shm_reduction:.1f}x fewer bytes per "
-        f"task than the queue channel (gate {GATE_SHM_REDUCTION}x) -- "
-        f"slabs are leaking back into the control frames"
-    )
 
     if gate_enforced:
         assert speedup >= GATE_SPEEDUP, (

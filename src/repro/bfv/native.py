@@ -29,6 +29,16 @@ _KERNEL: ctypes.CDLL | None = None
 _TRIED = False
 _LOCK = threading.Lock()
 
+
+def _reset_lock_in_child() -> None:
+    # A parent thread loading the kernel at the fork would leave the
+    # child's copy of the lock held forever.
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_lock_in_child)
+
 #: Environment variable that disables the compiled path when set to 0/false/off.
 NATIVE_ENV_VAR = "REPRO_NTT_NATIVE"
 

@@ -37,7 +37,9 @@ scheme, encoder, and profiler share one set of twiddle tables.
 
 from __future__ import annotations
 
+import os
 import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +58,22 @@ def _shoup(table: np.ndarray, modulus: int, shift: int) -> np.ndarray:
     """Precomputed high-word quotients floor(w << shift / p) as uint64."""
     widened = table.astype(object) << shift
     return np.array([q // modulus for q in widened], dtype=np.uint64)
+
+
+#: Every live engine, so a forked child can replace their locks.
+_ENGINES: "weakref.WeakSet[RnsNttEngine]" = weakref.WeakSet()
+
+
+def _reset_locks_in_child() -> None:
+    # A parent thread may have held an engine lock at the fork; that
+    # thread does not exist in the child, so the inherited lock would
+    # never be released.  The scratch buffers it guards are rewritten on
+    # every use, so a fresh lock is all the child needs.
+    for engine in list(_ENGINES):
+        engine._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_locks_in_child)
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +141,7 @@ class RnsNttEngine:
         # this lock; the native path uses per-call buffers and runs
         # lock-free (concurrent serving threads transform in parallel).
         self._lock = threading.Lock()
+        _ENGINES.add(self)
         # Numpy-path Shoup tables are built lazily: when the native kernel
         # is live they would be dead weight (the quotient precomputation
         # is the expensive part of engine construction).

@@ -10,13 +10,13 @@ engine calls (cross-client batching).  Clients drive sessions with
 :class:`ClientSession` over an in-process :class:`LoopbackTransport` or
 the TCP :class:`SocketTransport` / :class:`SocketServer` pair.  Plan
 math runs in-process by default (:class:`LocalExecutor`) or across a
-pool of forked worker processes memmapping the same ``.rpa`` artifacts
+pool of worker processes memmapping the same ``.rpa`` artifacts
 (:class:`ShardPool` + :class:`ShardExecutor` -- bit-identical outputs,
-multi-core throughput).  The shard fabric speaks three channel kinds:
-pickling mp queues, zero-copy shared-memory rings
-(:class:`~repro.serving.shm_ring.ShmRing`, ``channels="shm"``), and
-remote TCP workers (:class:`ShardWorkerServer`, ``repro shard-worker``)
-so a fleet of hosts memmapping the same artifacts serves one model.
+multi-core throughput).  Every shard worker is a
+:class:`ShardWorkerServer` speaking one framed stream protocol: local
+workers are forked onto a socketpair, remote ones (``repro
+shard-worker``) are reached over TCP, so a fleet of hosts memmapping the
+same artifacts serves one model.
 
 Two front ends terminate TCP: the thread-per-connection
 :class:`SocketServer` and the event-driven :class:`AsyncGateway`, which
@@ -77,7 +77,6 @@ from .shards import (
     ShardPool,
     ShardWorkerServer,
 )
-from .shm_ring import ShmRing
 from .tracing import NULL_TRACER, SpanContext, Tracer
 from .transport import (
     LoopbackTransport,
@@ -115,7 +114,6 @@ __all__ = [
     "ShardExecutor",
     "ShardError",
     "ShardWorkerServer",
-    "ShmRing",
     "bind_listener",
     "ModelRegistry",
     "ModelEntry",

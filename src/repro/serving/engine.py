@@ -135,9 +135,9 @@ class LocalExecutor:
 
     The other implementation is :class:`~repro.serving.shards
     .ShardExecutor`, which fans layer calls out over a
-    :class:`~repro.serving.shards.ShardPool` of forked workers (queue or
-    shared-memory-ring channels) and/or remote ``tcp://`` workers --
-    all bit-identical to this executor by the conformance suite.
+    :class:`~repro.serving.shards.ShardPool` of forked and/or remote
+    ``tcp://`` workers -- all bit-identical to this executor by the
+    conformance suite.
     """
 
     def prepare_keys(self, entry, key_id, blob, keys):

@@ -6,51 +6,54 @@ weight pages N processes share through the OS page cache) are scaling
 enablers the single-process :class:`~repro.serving.engine.ServingEngine`
 never cashes in.  This module adds the missing piece:
 
-* :class:`ShardPool` forks ``N`` worker processes.  Each worker
-  ``load_zoo``'s the same artifact directory -- memmapped weight stacks,
-  zero plan recompilation, shared pages -- reports readiness, then pulls
-  work from its own task queue.  The coordinator dispatches each task to
-  the least-loaded live worker, so idle workers still balance the load
-  -- but no IPC queue ever has two consumer processes.  That queue
-  topology is a *fault-tolerance* decision: a ``multiprocessing.Queue``
-  reader holds a shared lock while blocked, so a worker SIGKILLed
-  mid-``get`` on a shared queue would wedge every sibling forever.
-  With per-worker queues a corpse corrupts only its own channels, which
-  are discarded and rebuilt on respawn.
+* :class:`ShardPool` supervises worker slots.  Every worker is a
+  :class:`ShardWorkerServer` connection loop speaking one framed stream
+  protocol (:func:`~repro.serving.wire.send_frame`); slots differ only
+  in how they get their socket.  A *local* slot forks a worker with one
+  end of a ``socket.socketpair()`` -- the child ``load_zoo``'s the
+  artifact directory (memmapped weight stacks, zero plan recompilation,
+  shared pages) and serves that socket.  A *remote* slot connects to a
+  ``tcp://host:port`` endpoint (``repro shard-worker`` on any host that
+  memmaps the same artifacts).  The coordinator dispatches each task to
+  the least-loaded live worker.
 * :class:`ShardExecutor` plugs into the engine's execution-backend seam
   (:class:`~repro.serving.engine.LocalExecutor` documents the contract).
   A batched ``(k, B, n)`` layer call is split into per-shard sub-batches
   by request rows -- and, when a single request meets a wide convolution,
   by output-channel ranges (``ConvPlan.execute(..., oc_range=...)``) --
-  shipped over the worker channels, and the partial outputs are merged
-  back in order.  Every ciphertext crosses the process boundary through
+  shipped to the workers, and the partial outputs are merged back in
+  order.  Every ciphertext crosses the process boundary through
   :mod:`repro.bfv.serialize` inside a :mod:`repro.serving.wire` frame,
-  so the IPC path is the *same* validated wire format the network uses.
+  so the shard stream is the *same* validated wire format the network
+  uses.
 
-Worker channels are pluggable per worker; the pool speaks three:
+The stream protocol
+-------------------
 
-``queue`` (default)
-    Frames (headers *and* ciphertext blobs) are pickled through
-    per-worker ``multiprocessing.Queue`` pairs.
-``shm`` (``channels="shm"``)
-    Zero-copy local IPC: each forked worker's channel pair carries its
-    ciphertext slabs through a :class:`~repro.serving.shm_ring.ShmRing`
-    (raw page-aligned int64 bytes in ``multiprocessing.shared_memory``),
-    while the mp queues carry only small control frames holding a
-    :data:`~repro.serving.wire.SLAB_META_KEY` descriptor (ring offset,
-    byte count, CRC).  A slab that cannot fit the ring degrades that
-    one task to the in-band queue encoding, so ring capacity is a
-    performance knob, never a correctness constraint.
-``tcp://host:port`` (``remote_endpoints=[...]``)
-    Remote workers: each endpoint is a :class:`ShardWorkerServer`
-    (``repro shard-worker``) on any host that memmaps the same ``.rpa``
-    artifacts; the coordinator speaks the identical task/keys/result
-    frames over a framed TCP stream (:func:`~repro.serving.wire
-    .send_frame`).  Supervision extends to the network: connection
-    loss or a corrupt frame marks the worker dead, its in-flight tasks
-    requeue exactly once onto survivors, and the slot reconnects with
-    backoff, replaying every live Galois-key blob before new work is
-    dispatched.
+The coordinator opens every connection with ``shard_hello``; the worker
+answers ``shard_ready`` with its model names (or an ``error`` frame when
+it could not load its zoo).  After that the coordinator sends ``keys``/
+``drop_keys`` frames and ``ping``/``task`` requests, and the worker
+answers each request with a ``claimed`` frame, then a ``result``.  Each
+coordinator-side connection has a writer thread fed by an unbounded
+FIFO, so sending only enqueues -- no caller ever writes to a socket,
+least of all under the pool lock -- and a reader thread that takes the
+handshake and then every reply.
+
+Galois keys are too large to ship per task, so a task only references
+a ``key_id``.  The pool keeps every live session's key blob and ships it
+on a connection just before the first task there that names it; the
+stream is FIFO, so the worker holds the keys by the time it reads the
+task.  A session that closes before it runs a layer costs the workers
+nothing, and a fresh connection (respawn, reconnect, upgrade) needs no
+replay: it is shipped keys on demand like any other.  Workers decode a
+blob on the first task that names it, inside that task's
+``worker.deserialize`` span.
+
+Forked workers share the coordinator's ``time.monotonic()`` clock, so
+they refuse a task whose ``deadline_mono`` has passed; ``tcp://``
+workers ignore it (another host's clock is not comparable) and the
+coordinator enforces the deadline on its side for both.
 
 Bit-identity is the invariant that makes the split safe: plan execution
 is deterministic and independent per request and per output channel, so
@@ -60,15 +63,6 @@ stays in the coordinator -- workers never see masks -- and each worker
 ships back its HE op-counter delta, which the executor folds into the
 coordinator's :data:`~repro.bfv.counters.GLOBAL_COUNTERS` so accounting
 matches single-process execution exactly.
-
-Galois keys are too large to ship per task: the executor broadcasts each
-session's key blob once to every worker (workers cache them, dropping
-them on session close/eviction), so a task only references a ``key_id``.
-Ids are scoped per executor and per upload -- multiprocessing queue
-feeders give no cross-queue ordering guarantee, so correctness rests on
-"cache hit implies exactly the right keys": a worker that sees an
-unknown id blocks draining its own (FIFO) key channel until the
-broadcast lands; it can never *mistake* stale keys for current ones.
 
 Fault tolerance
 ---------------
@@ -80,22 +74,23 @@ not the request.
 * Every task is dispatched to exactly one worker incarnation, and the
   worker announces it with a ``claimed`` frame before executing, so the
   coordinator knows both where every in-flight task lives and whether
-  execution started.  When a worker dies, everything assigned to the
-  dead incarnation is requeued onto the survivors immediately; a task
-  making no progress for ``attempt_timeout_s`` (hung worker, lost
-  reply) is requeued by the stall check.
+  execution started.  A worker is dead when its connection fails (EOF,
+  reset, a frame that fails validation) or its forked process exits;
+  everything assigned to the dead incarnation is requeued onto the
+  survivors immediately.  A task making no progress for
+  ``attempt_timeout_s`` (hung worker, lost reply) is requeued by the
+  stall check.
 * Each requeue bumps the task's ``attempt`` counter; after
   ``max_attempts`` the task fails with a :class:`ShardError` and the
   engine degrades to its in-process executor rather than failing the
   session.
-* Dead workers are respawned (fresh ``load_zoo`` from the same
-  memmapped artifact dir) with exponential backoff; the coordinator
-  keeps every live key blob and replays it into the fresh worker's key
-  channel, so respawned workers serve existing sessions without client
-  involvement.  After ``max_respawns`` deaths a slot is abandoned and
-  the survivors carry the load; when every slot is abandoned the pool
-  fails all pending and future work fast (the engine's local fallback
-  takes over).
+* Dead workers are respawned -- local slots fork afresh, remote slots
+  reconnect -- with exponential backoff; the new connection is shipped
+  keys on demand like any other, so respawned workers serve existing
+  sessions without client involvement.  After ``max_respawns`` deaths a
+  slot is abandoned and the survivors carry the load; when every slot
+  is abandoned the pool fails all pending and future work fast (the
+  engine's local fallback takes over).
 * Exactly-once accounting holds under retries because op-counter deltas
   travel inside result frames and are folded only from the single
   *accepted* reply per task (first ``ok`` wins; duplicates from
@@ -115,57 +110,41 @@ import uuid
 from dataclasses import dataclass
 
 from ..bfv.counters import GLOBAL_COUNTERS
-from ..bfv.serialize import deserialize_ciphertext, serialize_ciphertext
+from ..bfv.serialize import (
+    deserialize_ciphertext,
+    deserialize_galois_keys,
+    serialize_ciphertext,
+)
 from ..nn.layers import ConvLayer
 from .engine import ExecutionBackendError
 from .faults import WorkerFaults
 from .metrics import noise_floor_bits
 from .tracing import WorkerSpanLog
 from .transport import bind_listener
-from .shm_ring import (
-    RingCorruption,
-    ShmRing,
-    pack_into_ring,
-    retire_ring,
-    unpack_from_ring,
-)
 from .wire import (
     TRACE_META_KEY,
     Message,
     attempt_of,
     decode_message,
     encode_message,
+    error_message,
     recv_frame,
     send_frame,
 )
 
 logger = logging.getLogger(__name__)
 
+#: Held across socketpair + fork + closing the child's end, by every
+#: pool in the process, so no forked worker ever inherits another
+#: worker's end (which would keep that worker's EOF from the coordinator).
+_FORK_LOCK = threading.Lock()
+
 
 class ShardError(ExecutionBackendError):
     """A shard pool failure: dead worker, startup error, or task failure."""
 
 
-def _retire_queue(q) -> None:
-    """Release a coordinator-owned queue that may never be drained.
-
-    A ``multiprocessing.Queue`` write is asynchronous: a feeder thread
-    moves buffered items into the pipe.  When the consumer is gone (a
-    dead or stopped worker) and the pipe is full -- easy with multi-MB
-    Galois key blobs -- that feeder blocks forever, and the interpreter's
-    multiprocessing atexit hook would then hang *process shutdown*
-    joining it.  ``cancel_join_thread`` forfeits the undelivered items
-    (they have no reader anyway) so exit never blocks on a corpse's
-    queue.
-    """
-    if q is not None:
-        try:
-            q.cancel_join_thread()
-        except (AttributeError, OSError):  # pragma: no cover - defensive
-            pass
-
-
-# -- worker process -----------------------------------------------------------
+# -- worker side --------------------------------------------------------------
 
 
 def _force_ntt_backend(native: bool) -> None:
@@ -187,44 +166,43 @@ def _force_ntt_backend(native: bool) -> None:
     ntt_batch._get_engine_cached.cache_clear()
 
 
-def _drain_key_queue(key_queue, key_cache, params_by_model, block_for=None,
-                     timeout_s: float = 30.0):
-    """Apply pending key broadcasts; optionally block until one arrives.
+class _KeyCache:
+    """One connection's Galois keys, decoded on the first task naming them.
 
-    ``block_for`` is a key id the caller needs *now* (its task references
-    it); because broadcasts are enqueued before any task that uses them
-    -- and replayed into a respawned worker's fresh channel before it is
-    handed tasks -- a bounded blocking drain is guaranteed to find it
-    unless the coordinator died.
+    Decoding in the task (not when the ``keys`` frame is read) keeps
+    the decode inside that task's ``worker.deserialize`` span; a blob
+    no task ever names is never decoded.
     """
-    from ..bfv.serialize import deserialize_galois_keys
 
-    deadline = time.monotonic() + timeout_s
-    while True:
-        try:
-            if block_for is not None and block_for not in key_cache:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ShardError(
-                        f"timed out waiting for Galois keys {block_for!r}"
-                    )
-                payload = key_queue.get(timeout=remaining)
-            else:
-                payload = key_queue.get_nowait()
-        except queue.Empty:
-            if block_for is not None and block_for not in key_cache:
-                continue
-            return
-        message = decode_message(payload)
-        if message.kind == "keys":
-            key_id, model = message.require("key_id", "model")
-            key_cache[key_id] = deserialize_galois_keys(
-                message.blobs[0], params_by_model[model]
+    def __init__(self, params_of):
+        self._params_of = params_of
+        self._raw: dict[str, tuple[str, bytes]] = {}
+        self._decoded: dict[str, object] = {}
+
+    def put(self, key_id: str, model: str, blob: bytes) -> None:
+        self.drop(key_id)
+        self._raw[key_id] = (model, blob)
+
+    def drop(self, key_id: str) -> None:
+        self._raw.pop(key_id, None)
+        self._decoded.pop(key_id, None)
+
+    def ids(self) -> list[str]:
+        return sorted([*self._raw, *self._decoded])
+
+    def __getitem__(self, key_id: str):
+        if key_id not in self._decoded:
+            if key_id not in self._raw:
+                raise ShardError(
+                    f"Galois keys {key_id!r} not on this connection "
+                    "(coordinator must ship keys before the task)"
+                )
+            model, blob = self._raw[key_id]
+            self._decoded[key_id] = deserialize_galois_keys(
+                blob, self._params_of(model)
             )
-        elif message.kind == "drop_keys":
-            key_cache.pop(message.require("key_id"), None)
-        if block_for is not None and block_for in key_cache:
-            return
+            del self._raw[key_id]
+        return self._decoded[key_id]
 
 
 def _run_task(registry, key_cache, request: Message) -> Message:
@@ -313,129 +291,40 @@ def _run_task(registry, key_cache, request: Message) -> Message:
     return Message("result", meta, blobs)
 
 
-def _worker_main(
-    worker_id, incarnation, artifact_dir, verify, ntt_native, task_queue,
-    key_queue, result_queue, ready_queue, fault_plan, task_ring=None,
-    result_ring=None,
+def _local_worker_main(
+    sock, inherited, worker_id, incarnation, artifact_dir, verify,
+    ntt_native, fault_plan,
 ):
-    """Worker entry point: warm-start from artifacts, then serve tasks."""
-    try:
-        if fault_plan is not None:
-            fault_plan.on_worker_start(worker_id, incarnation)
-        if ntt_native is not None:
-            _force_ntt_backend(bool(ntt_native))
-        from ..artifacts.zoo import load_zoo
+    """Forked local worker: :class:`ShardWorkerServer` on a socketpair end.
 
-        registry = load_zoo(artifact_dir, verify=verify)
-        params_by_model = {
-            name: registry.get(name).params for name in registry.names()
-        }
-    except BaseException as exc:
-        ready_queue.put(("error", worker_id, f"{type(exc).__name__}: {exc}"))
-        return
-    ready_queue.put(("ready", worker_id, registry.names()))
-    key_cache: dict[str, object] = {}
-    tasks_claimed = 0
-    while True:
-        payload = task_queue.get()
-        if payload is None:  # stop sentinel from ShardPool.stop()
-            return
-        task_id = None
+    The child first closes the coordinator's sockets it inherited (every
+    slot's coordinator end, its own included), so the coordinator holds
+    the only other end of ``sock``: a dead worker's EOF reaches it, and
+    a dead coordinator's EOF reaches every worker.
+    """
+    for inherited_sock in inherited:
+        inherited_sock.close()
+    if fault_plan is not None:
+        fault_plan.on_worker_start(worker_id, incarnation)
+    server = ShardWorkerServer(
+        artifact_dir, verify=verify, ntt_native=ntt_native,
+        fault_plan=fault_plan,
+    )
+    server.worker_id, server.incarnation = worker_id, incarnation
+    server.shares_clock = True
+    try:
+        server.load()
+    except Exception as exc:
+        # Answer the handshake with the failure so start() can say why.
         try:
-            # Control frames decode before their slab is touched, so a
-            # claim can go out (and the task id is known for error
-            # replies) even when the slab turns out to be bad.
-            try:
-                request, _ = unpack_from_ring(payload, task_ring)
-            except RingCorruption as exc:
-                # The task ring is no longer trustworthy (torn slab,
-                # desynced descriptor).  Crash-only recovery: exit so
-                # the supervisor requeues this incarnation's tasks and
-                # respawns the slot with fresh channels.
-                logger.error(
-                    "shard worker %d: task ring corrupted (%s); exiting",
-                    worker_id, exc,
-                )
-                return
-            attempt = attempt_of(request)
-            task_id = request.meta.get("task")
-            # Claim before executing: claims tell the coordinator that
-            # execution started (refreshing the stall clock) and carry
-            # this incarnation, pinning the task to this process.
-            result_queue.put(
-                encode_message(
-                    Message(
-                        "claimed",
-                        {
-                            "task": task_id,
-                            "attempt": attempt,
-                            "worker": worker_id,
-                            "incarnation": incarnation,
-                        },
-                    )
-                )
-            )
-            # Opportunistically apply key broadcasts/drops queued since
-            # the last task (drops must not wait for a blocking need).
-            _drain_key_queue(key_queue, key_cache, params_by_model)
-            if request.kind == "ping":
-                reply = Message(
-                    "result",
-                    {
-                        "task": request.require("task"),
-                        "status": "ok",
-                        "attempt": attempt,
-                        "worker": worker_id,
-                        "incarnation": incarnation,
-                        "models": registry.names(),
-                        "cached_keys": sorted(key_cache),
-                        "pid": os.getpid(),
-                    },
-                )
-            elif request.kind == "task":
-                tasks_claimed += 1
-                if fault_plan is not None:
-                    fault_plan.on_task(worker_id, incarnation, tasks_claimed)
-                deadline_mono = request.meta.get("deadline_mono")
-                if (
-                    deadline_mono is not None
-                    and time.monotonic() > float(deadline_mono)
-                ):
-                    raise ShardError(
-                        "request deadline exceeded before execution"
-                    )
-                task_id = request.require("task")
-                for key_id in request.require("key_ids"):
-                    if key_id not in key_cache:
-                        _drain_key_queue(
-                            key_queue, key_cache, params_by_model,
-                            block_for=key_id,
-                        )
-                reply = _run_task(registry, key_cache, request)
-            else:
-                reply = Message(
-                    "result",
-                    {
-                        "task": request.meta.get("task", "?"),
-                        "status": "error",
-                        "attempt": attempt,
-                        "reason": f"unknown shard request {request.kind!r}",
-                    },
-                )
-        except Exception as exc:  # keep the worker alive for the next task
-            reply = Message(
-                "result",
-                {
-                    "task": task_id if task_id is not None else "?",
-                    "status": "error",
-                    "attempt": attempt_of(request) if task_id is not None else 0,
-                    "reason": f"worker {worker_id}: {type(exc).__name__}: {exc}",
-                },
-            )
-        # Result blobs ride the result ring when the channel has one (a
-        # slab the ring cannot take degrades to the in-band encoding).
-        frame, _ = pack_into_ring(reply, result_ring)
-        result_queue.put(frame)
+            recv_frame(sock)
+            send_frame(sock, encode_message(
+                error_message(f"{type(exc).__name__}: {exc}")
+            ))
+        except (OSError, ValueError):
+            pass
+        return
+    server._serve_conn(sock, "coordinator")
 
 
 # -- coordinator --------------------------------------------------------------
@@ -455,50 +344,90 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class _RemoteConn:
-    """One live connection to a remote shard worker.
+class _WorkerConn:
+    """The coordinator's end of one worker connection.
 
-    Quacks enough like a ``multiprocessing.Process`` (``is_alive`` /
-    ``terminate`` / ``join``) that the pool's supervision loop treats a
-    lost connection exactly like a dead fork: requeue, backoff,
-    respawn -- where "respawn" is a fresh connection plus a Galois-key
-    replay.  Sends are serialized under a lock (dispatch, broadcasts
-    and the supervisor all write); any send or receive failure marks
-    the connection dead, and the mark is sticky until the slot
-    reconnects.
+    :meth:`send` only enqueues: a writer thread drains an unbounded FIFO
+    onto the socket, so no caller -- dispatch under the pool lock, key
+    drops, the supervisor -- ever blocks on a worker that stopped
+    reading.  ``process`` is a local slot's forked worker (``None`` for a
+    remote slot); ``keys_sent`` holds the key ids shipped on this
+    connection (guarded by the pool lock).  The first failure in either
+    direction marks the connection dead for good; the socket is closed
+    once both the writer and the pool's reader thread are done with it,
+    so neither can ever touch a recycled descriptor.
     """
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock, process=None, name: str = "repro-shard"):
         self.sock = sock
-        self._send_lock = threading.Lock()
+        self.process = process
+        self.keys_sent: set[str] = set()
+        self._outbox: queue.SimpleQueue = queue.SimpleQueue()
         self._dead = threading.Event()
+        self._users = 2  # the writer thread and the pool's reader thread
+        self._users_lock = threading.Lock()
+        threading.Thread(
+            target=self._write_loop, name=f"{name}-writer", daemon=True
+        ).start()
+
+    @property
+    def dead(self) -> bool:
+        return self._dead.is_set()
 
     def is_alive(self) -> bool:
-        return not self._dead.is_set()
+        return not self._dead.is_set() and (
+            self.process is None or self.process.is_alive()
+        )
+
+    def send(self, payload: bytes) -> None:
+        """Queue one frame (dropped once the connection is dead)."""
+        if not self._dead.is_set():
+            self._outbox.put(payload)
+
+    def finish(self) -> None:
+        """Queue EOF: the worker reads every queued frame, then EOF."""
+        self._outbox.put(None)
 
     def mark_dead(self) -> None:
         self._dead.set()
+        self._outbox.put(None)  # wake the writer
         try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - defensive
+            # Wakes both threads out of blocking socket calls.
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
             pass
 
-    # Process-shaped aliases for the supervisor.
-    def terminate(self) -> None:
+    def close(self, timeout: float = 0.0) -> None:
+        """Mark dead and reap a local worker (terminated after ``timeout``)."""
+        if self.process is not None:
+            self.process.join(timeout)
+            if self.process.is_alive():
+                self.process.terminate()
+                self.process.join(1.0)
         self.mark_dead()
 
-    def join(self, timeout=None) -> None:
-        return None
+    def release(self) -> None:
+        """One of the two socket users is done; the last one closes it."""
+        with self._users_lock:
+            self._users -= 1
+            last = self._users == 0
+        if last:
+            self.sock.close()
 
-    def send(self, payload: bytes) -> None:
-        if self._dead.is_set():
-            raise OSError("remote shard worker connection is closed")
+    def _write_loop(self) -> None:
         try:
-            with self._send_lock:
+            while True:
+                payload = self._outbox.get()
+                if self._dead.is_set():
+                    return
+                if payload is None:
+                    self.sock.shutdown(socket.SHUT_WR)
+                    return
                 send_frame(self.sock, payload)
         except OSError:
             self.mark_dead()
-            raise
+        finally:
+            self.release()
 
 
 class _PendingTask:
@@ -533,21 +462,19 @@ class _PendingTask:
 class _Slot:
     """One supervised worker position in the pool.
 
-    ``endpoint`` selects the channel kind: ``None`` is a forked local
-    worker (queues, optionally with shm rings), a ``tcp://`` endpoint
-    is a remote worker whose ``process`` is a :class:`_RemoteConn`.
+    ``endpoint`` is ``None`` for a forked local worker and the
+    ``tcp://`` spec of a remote one; everything else is shared.
     """
 
     worker_id: int
-    process: object = None
-    task_queue: object = None
-    result_queue: object = None
-    key_queue: object = None
-    task_ring: object = None
-    result_ring: object = None
     endpoint: str | None = None
+    conn: _WorkerConn | None = None
     incarnation: int = 0
+    #: The current connection answered ``shard_ready``; only ready slots
+    #: take tasks.
     ready: bool = False
+    #: ``time.monotonic()`` by which the current connection must be ready.
+    ready_deadline: float = 0.0
     abandoned: bool = False
     respawn_at: float | None = None
     deaths: int = 0
@@ -564,32 +491,38 @@ class _Slot:
     def remote(self) -> bool:
         return self.endpoint is not None
 
+    @property
+    def process(self):
+        """The forked worker process of a local slot, else ``None``."""
+        return None if self.conn is None else self.conn.process
+
 
 class ShardPool:
     """A supervised pool of local and/or remote workers executing plan layers.
 
-    Local workers fork and warm-start by ``load_zoo``-ing
+    ``workers`` local workers fork and warm-start by ``load_zoo``-ing
     ``artifact_dir`` (memmapped stacks -> the weight pages of all
-    workers are shared through the OS page cache); ``channels`` picks
-    their IPC flavor (``"queue"`` pickles whole frames, ``"shm"`` moves
-    ciphertext slabs through per-channel shared-memory rings of
-    ``ring_bytes`` each).  ``remote_endpoints`` adds ``tcp://host:port``
-    workers (:class:`ShardWorkerServer` instances memmapping the same
-    artifacts on any host); ``artifact_dir`` may be ``None`` for an
-    all-remote pool.  The coordinator dispatches each
+    workers are shared through the OS page cache).
+    ``remote_endpoints`` adds ``tcp://host:port`` workers
+    (:class:`ShardWorkerServer` instances memmapping the same artifacts
+    on any host); ``artifact_dir`` may be ``None`` for an all-remote
+    pool.  Both kinds speak the same stream protocol (see the module
+    docstring); the coordinator dispatches each
     :class:`~repro.serving.wire.Message` task to the least-loaded live
-    worker's private channel.  ``ntt_native`` optionally pins the local
-    workers' NTT backend (``None`` inherits the parent's); backends are
-    bit-identical either way.
+    worker.  ``ntt_native`` optionally pins the local workers' NTT
+    backend (``None`` inherits the parent's); backends are bit-identical
+    either way.
 
     A monitor thread supervises the pool (see the module docstring):
     dead workers have their in-flight tasks requeued (at most
     ``max_attempts`` attempts per task, ``attempt_timeout_s`` per
     attempt before a stalled attempt is retried) and are respawned with
     backoff up to ``max_respawns`` times before their slot is abandoned.
-    ``fault_plan`` injects deterministic worker faults for tests
-    (defaults to :meth:`WorkerFaults.from_env`, so ``REPRO_FAULT_*``
-    environment hooks reach unmodified servers).
+    A local worker must answer the handshake within ``start_timeout_s``,
+    a remote one within ``remote_connect_timeout_s``.  ``fault_plan``
+    injects deterministic worker faults for tests (defaults to
+    :meth:`WorkerFaults.from_env`, so ``REPRO_FAULT_*`` environment
+    hooks reach unmodified servers).
 
     The pool is transport-agnostic -- :class:`ShardExecutor` adapts it to
     the serving engine, and tests/benchmarks drive :meth:`execute`
@@ -609,8 +542,6 @@ class ShardPool:
         max_respawns: int = 3,
         respawn_backoff_s: float = 0.2,
         fault_plan: WorkerFaults | None = None,
-        channels: str = "queue",
-        ring_bytes: int = 32 << 20,
         remote_endpoints=None,
         remote_connect_timeout_s: float = 10.0,
         remote_socket_factory=None,
@@ -627,8 +558,6 @@ class ShardPool:
             )
         if max_attempts < 1:
             raise ValueError(f"need at least one attempt, got {max_attempts}")
-        if channels not in ("queue", "shm"):
-            raise ValueError(f"unknown channel kind {channels!r}")
         if artifact_dir is None and workers > 0:
             raise ValueError("local shard workers need an artifact_dir")
         self.artifact_dir = None if artifact_dir is None else str(artifact_dir)
@@ -636,8 +565,6 @@ class ShardPool:
         #: count the executor splits over.
         self.local_workers = int(workers)
         self.workers = self.local_workers + len(self.remote_endpoints)
-        self.channels = channels
-        self.ring_bytes = int(ring_bytes)
         self.remote_connect_timeout_s = float(remote_connect_timeout_s)
         self._remote_factory = (
             socket.create_connection if remote_socket_factory is None
@@ -654,24 +581,20 @@ class ShardPool:
         self.fault_plan = (
             WorkerFaults.from_env() if fault_plan is None else fault_plan
         )
-        # fork keeps startup cheap (no re-import of numpy per worker) and
-        # lets children inherit the already-built twiddle tables; workers
-        # still load_zoo their own registry, per the artifact discipline.
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
+        # fork, not exec: startup stays cheap (no re-import of numpy per
+        # worker) and children inherit the already-built twiddle tables;
+        # workers still load_zoo their own registry, per the artifact
+        # discipline.
+        self._ctx = multiprocessing.get_context("fork")
         self._slots: list[_Slot] = []
-        self._ready_queue = None
         self.model_names: list[str] = []
         self._pending: dict[str, _PendingTask] = {}
         self._lock = threading.Lock()
         self._next_task = 0
         self._monitor: threading.Thread | None = None
         self._stopping = threading.Event()
-        # Live key blobs (key_id -> encoded broadcast frame), replayed
-        # into the fresh key channel of every respawned worker.
-        self._key_lock = threading.Lock()
+        # Live key blobs (key_id -> encoded ``keys`` frame), shipped on
+        # each connection before the first task there that names them.
         self._key_blobs: dict[str, bytes] = {}
         self._fatal: str | None = None
         self.retries_total = 0
@@ -684,76 +607,53 @@ class ShardPool:
         #: Serialises rolling upgrades: one at a time, pool-wide, so the
         #: one-slot-out-at-a-time quorum argument holds.
         self._upgrade_lock = threading.Lock()
-        # IPC accounting (coordinator side), for BENCH_sharding.json:
-        # bytes that crossed a pickling mp queue vs bytes that rode a
-        # shared-memory ring or the remote TCP stream, and how many
-        # task/ping dispatches they amortize over.
-        self.ipc_pickled_bytes = 0
-        self.ipc_slab_bytes = 0
-        self.ipc_remote_bytes = 0
+        # Stream accounting (coordinator side), for BENCH_sharding.json:
+        # task and reply frame bytes, and how many task/ping dispatches
+        # they amortize over.
+        self.ipc_bytes = 0
         self.tasks_dispatched = 0
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ShardPool":
-        """Fork the workers and block until every one reports ready.
+        """Bring up every worker and block until each one is ready.
 
-        A worker that dies *during* startup (before readiness) is
-        detected via its dead sentinel immediately: all sibling
-        processes are terminated and :class:`ShardError` raised at once
-        rather than waiting out ``start_timeout_s``.
+        Every slot is forked (or connected) first and each handshake is
+        taken on its slot's own reader thread, so the workers'
+        ``load_zoo`` runs in parallel.  A worker that fails or dies
+        before readiness aborts the start at once: every sibling is
+        terminated and :class:`ShardError` raised.
         """
-        if self._ready_queue is not None:
+        if self._slots:
             raise ShardError("shard pool already started")
-        self._ready_queue = self._ctx.Queue()
-        for worker_id in range(self.local_workers):
-            self._slots.append(_Slot(worker_id=worker_id))
-        for index, endpoint in enumerate(self.remote_endpoints):
-            self._slots.append(
-                _Slot(worker_id=self.local_workers + index, endpoint=endpoint)
-            )
+        self._slots = [
+            _Slot(worker_id=worker_id)
+            for worker_id in range(self.local_workers)
+        ] + [
+            _Slot(worker_id=self.local_workers + index, endpoint=endpoint)
+            for index, endpoint in enumerate(self.remote_endpoints)
+        ]
         for slot in self._slots:
             self._spawn(slot)
-        deadline = time.monotonic() + self.start_timeout_s
-        ready = 0
-        while ready < self.workers:
-            try:
-                status, worker_id, detail = self._ready_queue.get(timeout=0.1)
-            except queue.Empty:
-                dead = [
+        while not all(slot.ready for slot in self._slots):
+            self._expire_handshakes(time.monotonic())
+            failed = next(
+                (
                     slot for slot in self._slots
-                    if not slot.ready
-                    and slot.process is not None
-                    and not slot.process.is_alive()
-                ]
-                # A dead worker may have reported before dying; only
-                # abort once its sentinel is dead AND its message is not
-                # waiting in the (just-polled) ready queue.
-                if dead:
-                    try:
-                        status, worker_id, detail = self._ready_queue.get(
-                            timeout=0.25
-                        )
-                    except queue.Empty:
-                        self._abort_start()
-                        raise ShardError(
-                            f"shard worker {dead[0].worker_id} died during "
-                            f"startup (before readiness)"
-                        ) from None
-                elif time.monotonic() >= deadline:
-                    self._abort_start()
-                    raise ShardError(
-                        f"shard worker(s) did not report ready within "
-                        f"{self.start_timeout_s:.0f}s"
-                    ) from None
-                else:
-                    continue
-            if status != "ready":
+                    if not slot.ready and (slot.conn is None or slot.conn.dead)
+                ),
+                None,
+            )
+            if failed is not None:
                 self._abort_start()
-                raise ShardError(f"shard worker {worker_id} failed: {detail}")
-            self.model_names = list(detail)
-            self._slots[worker_id].ready = True
-            ready += 1
+                raise ShardError(
+                    f"shard worker {failed.worker_id} "
+                    + (
+                        f"failed: {failed.last_error}" if failed.last_error
+                        else "died during startup (before readiness)"
+                    )
+                )
+            time.sleep(0.01)
         self._monitor = threading.Thread(
             target=self._supervise, name="repro-shard-monitor", daemon=True
         )
@@ -761,158 +661,102 @@ class ShardPool:
         return self
 
     def _spawn(self, slot: _Slot) -> None:
-        """Bring up one worker in ``slot`` (first start or respawn).
+        """Bring up one worker in ``slot`` (first start, respawn, or swap).
 
-        Local workers fork; remote slots connect.  Every incarnation
-        gets fresh channels -- queues, shm rings, or a TCP connection
-        -- because a SIGKILLed process (or a cut link) can leave its
-        old channels mid-write, so they are never reused.  A collector
-        thread per incarnation drains its result channel (and any
-        leftover replies after a respawn supersedes it).
+        Local slots fork onto a fresh socketpair; remote slots connect.
+        Every incarnation gets a fresh connection, because a SIGKILLed
+        worker (or a cut link) can leave the old stream mid-frame.  A
+        failed connect counts like a death once the pool is supervised;
+        during :meth:`start` it fails the start.
         """
-        if slot.remote:
-            self._connect_remote(slot)
+        try:
+            if slot.remote:
+                sock = self._remote_factory(
+                    parse_endpoint(slot.endpoint),
+                    timeout=self.remote_connect_timeout_s,
+                )
+                sock.settimeout(None)
+                process = None
+            else:
+                sock, process = self._fork(slot)
+        except OSError as exc:
+            slot.last_error = f"{type(exc).__name__}: {exc}"
+            if self._monitor is not None:
+                logger.warning(
+                    "shard worker %d failed to come up (%s)",
+                    slot.worker_id, slot.last_error,
+                )
+                self._count_death(slot)
             return
-        ctx = self._ctx
-        for old in (slot.task_queue, slot.result_queue, slot.key_queue):
-            _retire_queue(old)
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        key_queue = ctx.Queue()
-        task_ring = result_ring = None
-        if self.channels == "shm":
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
-            task_ring = ShmRing.create(self.ring_bytes)
-            result_ring = ShmRing.create(self.ring_bytes)
-        # Replay every live key blob into the fresh channel *before* the
-        # queue becomes visible to broadcast_keys, so the new worker's
-        # FIFO key channel is complete: replayed history, then whatever
-        # is broadcast from now on.
-        with self._key_lock:
-            for payload in self._key_blobs.values():
-                key_queue.put(payload)
-            slot.key_queue = key_queue
-        process = ctx.Process(
-            target=_worker_main,
-            args=(
-                slot.worker_id, slot.incarnation, self.artifact_dir,
-                self.verify, self.ntt_native, task_queue, key_queue,
-                result_queue, self._ready_queue, self.fault_plan,
-                task_ring, result_ring,
-            ),
-            name=f"repro-shard-{slot.worker_id}",
-            daemon=True,
+        self._attach(slot, sock, process)
+
+    def _fork(self, slot: _Slot):
+        """Fork a local worker onto a fresh socketpair; returns our end."""
+        with _FORK_LOCK:
+            ours, theirs = socket.socketpair()
+            inherited = [
+                other.conn.sock for other in self._slots
+                if other.conn is not None
+            ]
+            process = self._ctx.Process(
+                target=_local_worker_main,
+                args=(
+                    theirs, [*inherited, ours], slot.worker_id,
+                    slot.incarnation, self.artifact_dir, self.verify,
+                    self.ntt_native, self.fault_plan,
+                ),
+                name=f"repro-shard-{slot.worker_id}",
+                daemon=True,
+            )
+            try:
+                process.start()
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                theirs.close()
+        return ours, process
+
+    def _attach(self, slot: _Slot, sock, process) -> None:
+        """Make ``sock`` the slot's connection and start its reader thread."""
+        conn = _WorkerConn(
+            sock, process,
+            name=f"repro-shard-{slot.worker_id}.{slot.incarnation}",
         )
-        process.start()
+        conn.send(encode_message(Message("shard_hello", {})))
+        timeout = (
+            self.remote_connect_timeout_s if slot.remote
+            else self.start_timeout_s
+        )
         with self._lock:
-            slot.task_queue = task_queue
-            slot.result_queue = result_queue
-            slot.task_ring = task_ring
-            slot.result_ring = result_ring
-            slot.process = process
+            slot.conn = conn
             slot.ready = False
+            slot.ready_deadline = time.monotonic() + timeout
             slot.respawn_at = None
         threading.Thread(
-            target=self._collect_slot,
-            args=(slot, result_queue, result_ring),
+            target=self._collect,
+            args=(slot, conn),
             name=f"repro-shard-collect-{slot.worker_id}.{slot.incarnation}",
             daemon=True,
         ).start()
 
-    def _connect_remote(self, slot: _Slot) -> None:
-        """Connect (or reconnect) a remote worker slot and replay its keys.
-
-        The handshake doubles as the readiness event: ``shard_hello``
-        out, ``shard_ready`` (with the worker's model names) back,
-        bounded by ``remote_connect_timeout_s``.  Live Galois-key blobs
-        are replayed *before* the connection becomes visible to
-        dispatch and broadcasts, so a reconnected worker serves
-        existing sessions immediately (same FIFO-completeness argument
-        as the local key channels).  A failed attempt counts like a
-        death: backoff, retry, and eventually slot abandonment.
-        """
-        host, port = parse_endpoint(slot.endpoint)
-        try:
-            sock = self._remote_factory(
-                (host, port), timeout=self.remote_connect_timeout_s
-            )
-            conn = _RemoteConn(sock)
-            try:
-                sock.settimeout(self.remote_connect_timeout_s)
-                conn.send(encode_message(Message("shard_hello", {})))
-                payload = recv_frame(sock)
-                if payload is None:
-                    raise OSError("worker closed during handshake")
-                ready = decode_message(payload)
-                if ready.kind != "shard_ready":
-                    raise OSError(
-                        f"unexpected handshake reply {ready.kind!r}"
-                    )
-                models = list(ready.require("models"))
-                sock.settimeout(None)
-                with self._key_lock:
-                    for payload in self._key_blobs.values():
-                        conn.send(payload)
-                    with self._lock:
-                        slot.process = conn
-                        slot.ready = True
-                        slot.respawn_at = None
-            except BaseException:
-                conn.mark_dead()
-                raise
-        except (OSError, ValueError) as exc:
-            slot.last_error = f"{type(exc).__name__}: {exc}"
-            if self._monitor is None:
-                # Initial start(): fail the whole pool fast, like a
-                # local worker dying before readiness.
-                self._ready_queue.put(
-                    ("error", slot.worker_id, slot.last_error)
-                )
-                return
-            # Reconnect attempt under supervision: treat like a death.
-            with self._lock:
-                slot.process = None
-                slot.deaths += 1
-                if slot.deaths > self.max_respawns:
-                    slot.abandoned = True
-                else:
-                    slot.incarnation += 1
-                    slot.respawn_at = time.monotonic() + (
-                        self.respawn_backoff_s * (2 ** (slot.deaths - 1))
-                    )
-            if slot.abandoned:
-                logger.error(
-                    "abandoning remote shard worker %s after %d failures "
-                    "(%s)", slot.endpoint, slot.deaths, slot.last_error,
-                )
-            else:
-                logger.warning(
-                    "reconnect to shard worker %s failed (%s); retrying",
-                    slot.endpoint, slot.last_error,
-                )
-            return
-        self._ready_queue.put(("ready", slot.worker_id, models))
-        threading.Thread(
-            target=self._collect_remote,
-            args=(slot, conn),
-            name=f"repro-shard-remote-{slot.worker_id}.{slot.incarnation}",
-            daemon=True,
-        ).start()
+    def _expire_handshakes(self, now: float) -> None:
+        """Kill connections that missed their ``shard_ready`` deadline."""
+        for slot in self._slots:
+            conn = slot.conn
+            if (
+                conn is not None and not slot.ready and not conn.dead
+                and now > slot.ready_deadline
+            ):
+                slot.last_error = "no shard_ready before the handshake deadline"
+                conn.close()
 
     def _abort_start(self) -> None:
-        """Kill every process immediately (startup failed; no drain)."""
+        """Kill every worker immediately (startup failed; no drain)."""
         self._stopping.set()
         for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
-                slot.process.terminate()
-        for slot in self._slots:
-            if slot.process is not None:
-                slot.process.join(timeout=5.0)
-            for q in (slot.task_queue, slot.result_queue, slot.key_queue):
-                _retire_queue(q)
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
+            if slot.conn is not None:
+                slot.conn.close()
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Drain-stop the pool: workers finish their current task and exit."""
@@ -922,24 +766,12 @@ class ShardPool:
         if self._monitor is not None:
             self._monitor.join(timeout=2.0)
         for slot in self._slots:
-            if slot.process is not None and slot.task_queue is not None:
-                slot.task_queue.put(None)
+            if slot.conn is not None:
+                slot.conn.finish()
         deadline = time.monotonic() + timeout_s
         for slot in self._slots:
-            if slot.process is not None:
-                slot.process.join(
-                    timeout=max(0.1, deadline - time.monotonic())
-                )
-                if slot.process.is_alive():
-                    slot.process.terminate()
-                    slot.process.join(timeout=1.0)
-            # Undrained queue contents (e.g. key broadcasts a quorum-
-            # starved worker never consumed) must not hang interpreter
-            # shutdown on their feeder threads.
-            for q in (slot.task_queue, slot.result_queue, slot.key_queue):
-                _retire_queue(q)
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
+            if slot.conn is not None:
+                slot.conn.close(max(0.1, deadline - time.monotonic()))
         # Fail anything still pending so no submitter blocks forever.
         with self._lock:
             pending, self._pending = self._pending, {}
@@ -953,10 +785,11 @@ class ShardPool:
         self.stop()
 
     def alive_workers(self) -> int:
+        """Workers that answered their handshake and are still alive."""
         return sum(
             1
             for slot in self._slots
-            if slot.process is not None and slot.process.is_alive()
+            if slot.ready and slot.conn is not None and slot.conn.is_alive()
         )
 
     def available_workers(self) -> int:
@@ -991,7 +824,7 @@ class ShardPool:
 
         The admin surface for taking a worker out of rotation without
         killing it (inspect it, let the host drain, ...).  The slot keeps
-        its process, channels, and cached keys; :meth:`resume_worker`
+        its worker, connection, and cached keys; :meth:`resume_worker`
         puts it back into dispatch.  Returns the drain outcome, including
         how many tasks were still in flight when ``wait_s`` ran out.
         """
@@ -1031,12 +864,10 @@ class ShardPool:
         against ``artifact_dir`` (local slots fork and ``load_zoo`` the
         new directory; remote slots reconnect, which makes the
         :class:`ShardWorkerServer` re-read its own zoo when the manifest
-        generation on disk changed), replay every live Galois-key blob
-        into the fresh channel (:meth:`_spawn`'s standard key replay),
-        and wait for readiness before touching the next slot -- so at
-        most one slot is ever out of rotation and
-        :meth:`available_workers` (the executor's quorum input) never
-        drops.
+        generation on disk changed), and wait for readiness before
+        touching the next slot -- so at most one slot is ever out of
+        rotation and :meth:`available_workers` (the executor's quorum
+        input) never drops.
 
         ``artifact_dir=None`` re-rolls onto the current directory (the
         regenerated-in-place case).  Upgrades are serialised pool-wide;
@@ -1047,7 +878,7 @@ class ShardPool:
         slot cannot rejoin (it is then abandoned, like any other
         permanent failure).
         """
-        if self._ready_queue is None or self._monitor is None:
+        if self._monitor is None:
             raise ShardError("shard pool is not running")
         if self._stopping.is_set():
             raise ShardError("shard pool is stopping")
@@ -1085,6 +916,7 @@ class ShardPool:
             "artifact_dir": self.artifact_dir,
         }
 
+
     def _upgrade_slot(
         self, slot: _Slot, drain_timeout_s: float, ready_timeout_s: float
     ) -> None:
@@ -1108,8 +940,8 @@ class ShardPool:
             slot.upgrading = True
             try:
                 with self._lock:
-                    process = slot.process
-                    slot.process = None
+                    conn = slot.conn
+                    slot.conn = None
                     slot.ready = False
                     slot.respawn_at = None
                     stragglers = [
@@ -1127,21 +959,11 @@ class ShardPool:
                         pending,
                         f"worker {slot.worker_id} drained for upgrade",
                     )
-                if slot.remote:
-                    if process is not None:
-                        process.mark_dead()
-                elif process is not None:
-                    if process.is_alive():
-                        # Drain-stop: the sentinel lets the worker exit
-                        # its loop cleanly; terminate is the backstop.
-                        try:
-                            slot.task_queue.put(None)
-                        except (OSError, ValueError):
-                            pass
-                        process.join(timeout=5.0)
-                        if process.is_alive():
-                            process.terminate()
-                    process.join(timeout=5.0)
+                if conn is not None:
+                    # Drain-stop: EOF lets a local worker exit its loop
+                    # cleanly; terminate is the backstop.
+                    conn.finish()
+                    conn.close(timeout=5.0)
                 with self._lock:
                     slot.incarnation += 1
                 self._spawn(slot)
@@ -1151,10 +973,11 @@ class ShardPool:
             with self._lock:
                 slot.draining = False
                 self.upgrading_slots -= 1
-        # Phase 3 -- rejoin: the supervisor collects readiness (and
-        # supervises a fresh worker that crashes during warm-up: requeue,
-        # backoff, respawn); wait for it before the caller touches the
-        # next slot, so at most one slot is ever out of rotation.
+        # Phase 3 -- rejoin: the slot's reader thread takes the
+        # handshake (and the supervisor handles a fresh worker that
+        # crashes during warm-up: requeue, backoff, respawn); wait for it
+        # before the caller touches the next slot, so at most one slot
+        # is ever out of rotation.
         deadline = time.monotonic() + max(0.0, float(ready_timeout_s))
         while time.monotonic() < deadline:
             if self._stopping.is_set():
@@ -1177,18 +1000,18 @@ class ShardPool:
     def _supervise(self) -> None:
         """Monitor loop: detect deaths, requeue work, respawn, un-stall."""
         while not self._stopping.is_set():
-            self._drain_ready()
             now = time.monotonic()
+            self._expire_handshakes(now)
             for slot in self._slots:
                 if slot.abandoned or slot.upgrading:
                     # An upgrading slot's kill/respawn is owned by
                     # rolling_upgrade; treating it as a death here would
                     # double-spawn the slot.
                     continue
-                if slot.process is not None and not slot.process.is_alive():
-                    self._handle_death(slot, now)
+                if slot.conn is not None and not slot.conn.is_alive():
+                    self._handle_death(slot)
                 elif (
-                    slot.process is None
+                    slot.conn is None
                     and slot.respawn_at is not None
                     and now >= slot.respawn_at
                 ):
@@ -1212,38 +1035,18 @@ class ShardPool:
                 self._fail_all_pending(self._fatal)
             self._stopping.wait(0.05)
 
-    def _drain_ready(self) -> None:
-        """Consume readiness/error reports from respawned workers."""
-        while True:
-            try:
-                status, worker_id, detail = self._ready_queue.get_nowait()
-            except queue.Empty:
-                return
-            slot = self._slots[worker_id]
-            if status == "ready":
-                slot.ready = True
-                # A respawned worker reports the zoo it actually loaded;
-                # after a rolling upgrade that is the new generation's
-                # model list, which prepare_keys validates against.
-                if detail:
-                    self.model_names = list(detail)
-            else:
-                # Startup failure of a respawn: the process exits right
-                # after reporting; _handle_death picks up the corpse.
-                slot.last_error = str(detail)
-
-    def _handle_death(self, slot: _Slot, now: float) -> None:
+    def _handle_death(self, slot: _Slot) -> None:
         """A worker died: requeue its assigned tasks, schedule a respawn."""
-        slot.process.join(timeout=0)
         dead = (slot.worker_id, slot.incarnation)
         with self._lock:
-            slot.process = None
-            slot.deaths += 1
+            conn, slot.conn = slot.conn, None
+            slot.ready = False
             orphans = [
                 pending
                 for pending in self._pending.values()
                 if pending.assigned == dead and not pending.event.is_set()
             ]
+        conn.close()  # reap a local corpse; a live one is terminated
         logger.warning(
             "shard worker %d (incarnation %d) died%s; requeueing %d task(s)",
             slot.worker_id, slot.incarnation,
@@ -1252,31 +1055,31 @@ class ShardPool:
         )
         for pending in orphans:
             self._retry(pending, f"worker {slot.worker_id} died mid-task")
-        if slot.deaths > self.max_respawns:
-            with self._lock:
-                slot.abandoned = True
-            for q in (slot.task_queue, slot.result_queue, slot.key_queue):
-                _retire_queue(q)
-            retire_ring(slot.task_ring)
-            retire_ring(slot.result_ring)
+        self._count_death(slot)
+
+    def _count_death(self, slot: _Slot) -> None:
+        """Charge one death to ``slot``: back off to a respawn, or abandon."""
+        with self._lock:
+            slot.deaths += 1
+            slot.abandoned = slot.deaths > self.max_respawns
+            if not slot.abandoned:
+                slot.incarnation += 1
+                slot.respawn_at = time.monotonic() + (
+                    self.respawn_backoff_s * (2 ** (slot.deaths - 1))
+                )
+        if slot.abandoned:
             logger.error(
                 "abandoning shard worker slot %d after %d deaths",
                 slot.worker_id, slot.deaths,
-            )
-            return
-        with self._lock:
-            slot.incarnation += 1
-            slot.respawn_at = now + self.respawn_backoff_s * (
-                2 ** (slot.deaths - 1)
             )
 
     def _check_stalls(self, now: float) -> None:
         """Retry attempts that have made no progress for attempt_timeout_s.
 
-        Covers the claim-gap race (a worker killed between dequeue and
-        claim), hung workers, and replies lost to a corpse's result
-        queue.  A spurious retry is safe: replays are bit-identical, the
-        first ``ok`` reply wins, and later duplicates are dropped
+        Covers the claim-gap race (a worker killed between reading a task
+        and claiming it), hung workers, and replies lost with a dead
+        connection.  A spurious retry is safe: replays are bit-identical,
+        the first ``ok`` reply wins, and later duplicates are dropped
         without folding their counters.
         """
         with self._lock:
@@ -1292,7 +1095,7 @@ class ShardPool:
             self._retry(pending, "attempt stalled")
 
     def _eligible_slot(self) -> _Slot | None:
-        """The least-loaded live worker slot (requires ``self._lock``)."""
+        """The least-loaded ready worker slot (requires ``self._lock``)."""
         counts: dict[tuple[int, int], int] = {}
         for pending in self._pending.values():
             if pending.assigned is not None and not pending.event.is_set():
@@ -1305,8 +1108,9 @@ class ShardPool:
                 slot.abandoned
                 or slot.draining
                 or slot.upgrading
-                or slot.process is None
-                or not slot.process.is_alive()
+                or not slot.ready
+                or slot.conn is None
+                or not slot.conn.is_alive()
             ):
                 continue
             count = counts.get((slot.worker_id, slot.incarnation), 0)
@@ -1315,41 +1119,34 @@ class ShardPool:
         return best
 
     def _dispatch_locked(self, pending: _PendingTask) -> bool:
-        """Dispatch (requires ``self._lock``); parks when no worker is live."""
+        """Dispatch (requires ``self._lock``); parks when no worker is ready.
+
+        Keys the task names go out on the connection first, unless it
+        already has them.  Sending only enqueues on the connection's
+        writer, so holding the pool lock here never waits on a socket.  A
+        send onto a connection that dies leaves the task assigned to the
+        dead incarnation; death handling requeues it.
+        """
         pending.claimed_at = None
         pending.dispatched_at = time.monotonic()
         if pending.first_dispatched_at is None:
             pending.first_dispatched_at = pending.dispatched_at
         slot = self._eligible_slot()
         if slot is None:
-            pending.assigned = None  # parked; the supervisor re-dispatches
+            pending.assigned = None  # parked; re-dispatched once one is ready
             return False
         pending.assigned = (slot.worker_id, slot.incarnation)
         pending.request.meta["attempt"] = pending.attempt
         self.tasks_dispatched += 1
-        self._send_task(slot, pending.request)
+        conn = slot.conn
+        for key_id in pending.request.meta.get("key_ids", ()):
+            if key_id not in conn.keys_sent and key_id in self._key_blobs:
+                conn.send(self._key_blobs[key_id])
+                conn.keys_sent.add(key_id)
+        frame = encode_message(pending.request)
+        self.ipc_bytes += len(frame)
+        conn.send(frame)
         return True
-
-    def _send_task(self, slot: _Slot, request: Message) -> None:
-        """Ship one task over the slot's channel, tallying IPC bytes.
-
-        A remote send that fails mid-write leaves the task assigned to
-        the now-dead incarnation; death handling requeues it -- same
-        recovery as a local worker SIGKILLed with the frame in its
-        queue.
-        """
-        if slot.remote:
-            frame = encode_message(request)
-            self.ipc_remote_bytes += len(frame)
-            try:
-                slot.process.send(frame)
-            except OSError:
-                pass
-            return
-        frame, slab_bytes = pack_into_ring(request, slot.task_ring)
-        self.ipc_pickled_bytes += len(frame)
-        self.ipc_slab_bytes += slab_bytes
-        slot.task_queue.put(frame)
 
     def _dispatch_parked(self) -> None:
         with self._lock:
@@ -1405,103 +1202,88 @@ class ShardPool:
 
     # -- key distribution ---------------------------------------------------
 
-    def broadcast_keys(self, key_id: str, model: str, blob: bytes) -> None:
-        """Ship one session's Galois keys to every worker (cached there).
+    def put_keys(self, key_id: str, model: str, blob: bytes) -> None:
+        """Register one session's Galois keys for its tasks.
 
-        The blob is retained coordinator-side until :meth:`drop_keys` so
-        it can be replayed to respawned workers.
+        Nothing is sent here: each connection is shipped the blob before
+        its first task that names ``key_id`` (see
+        :meth:`_dispatch_locked`), until :meth:`drop_keys`.
         """
         payload = encode_message(
             Message("keys", {"key_id": key_id, "model": model}, [blob])
         )
-        with self._key_lock:
+        with self._lock:
             self._key_blobs[key_id] = payload
-            self._broadcast_locked(payload)
 
     def drop_keys(self, key_id: str) -> None:
-        """Tell every worker to forget a session's keys (close/eviction)."""
+        """Forget a session's keys (close/eviction), on every worker too."""
         payload = encode_message(Message("drop_keys", {"key_id": key_id}))
-        with self._key_lock:
+        with self._lock:
             self._key_blobs.pop(key_id, None)
-            self._broadcast_locked(payload)
-
-    def _broadcast_locked(self, payload: bytes) -> None:
-        """Fan one key frame out to every in-service slot (key lock held).
-
-        A remote send failure is swallowed: the connection is then dead,
-        and the reconnect replays every live blob anyway.
-        """
-        for slot in self._slots:
-            if slot.abandoned:
-                continue
-            if slot.remote:
-                conn = slot.process
-                if conn is not None and conn.is_alive():
-                    try:
-                        conn.send(payload)
-                    except OSError:
-                        pass
-            elif slot.key_queue is not None:
-                slot.key_queue.put(payload)
+            for slot in self._slots:
+                conn = slot.conn
+                if conn is not None and key_id in conn.keys_sent:
+                    conn.keys_sent.discard(key_id)
+                    conn.send(payload)
 
     # -- task execution -----------------------------------------------------
 
-    def _collect_slot(self, slot: _Slot, result_queue, result_ring) -> None:
-        """Drain one incarnation's result queue (one thread per incarnation).
+    def _collect(self, slot: _Slot, conn: _WorkerConn) -> None:
+        """Reader thread of one connection: the handshake, then replies.
 
-        After a respawn supersedes this queue, the thread drains any
-        leftover replies (a worker may have answered right before a
-        different task killed it) and exits.  Replies whose blobs ride
-        the incarnation's result ring are resolved here, in queue
-        order (the ring is FIFO and this is its only consumer).
+        Runs until the stream fails -- EOF, reset, or a frame that fails
+        validation poisons the whole connection (stream framing can no
+        longer be trusted) -- and marks the connection dead, which the
+        supervisor treats as a worker death: requeue and respawn.
         """
-        while not self._stopping.is_set():
-            try:
-                payload = result_queue.get(timeout=0.2)
-            except queue.Empty:
-                if slot.result_queue is not result_queue:
-                    return  # superseded by a respawn, leftovers drained
-                continue
-            try:
-                reply, slab_bytes = unpack_from_ring(
-                    payload, result_ring, timeout_s=1.0
-                )
-                self.ipc_pickled_bytes += len(payload)
-                self.ipc_slab_bytes += slab_bytes
-                self._handle_reply(reply)
-            except Exception:  # never let a bad frame kill collection
-                logger.exception("discarding malformed shard reply")
-
-    def _collect_remote(self, slot: _Slot, conn: _RemoteConn) -> None:
-        """Read reply frames from one remote connection until it dies.
-
-        Any stream failure -- EOF, reset, or a frame that fails
-        validation -- poisons the whole connection (stream framing can
-        no longer be trusted), which the supervisor then treats as a
-        worker death: requeue and reconnect.
-        """
-        sock = conn.sock
-        while not self._stopping.is_set():
-            try:
-                payload = recv_frame(sock)
+        handshake = True
+        try:
+            while True:
+                payload = recv_frame(conn.sock)
                 if payload is None:
-                    raise OSError("remote shard worker closed the connection")
-                reply = decode_message(payload)
-            except (OSError, ValueError) as exc:
-                if conn.is_alive() and not self._stopping.is_set():
-                    logger.warning(
-                        "remote shard worker %s connection failed: %s",
-                        slot.endpoint, exc,
-                    )
-                conn.mark_dead()
-                return
-            if slot.process is not conn:
-                return  # superseded by a reconnect
-            self.ipc_remote_bytes += len(payload)
-            try:
-                self._handle_reply(reply)
-            except Exception:  # pragma: no cover - defensive
-                logger.exception("discarding malformed shard reply")
+                    raise OSError("shard worker closed the connection")
+                message = decode_message(payload)
+                if handshake:
+                    handshake = False
+                    self._on_ready(slot, conn, message)
+                    continue
+                self.ipc_bytes += len(payload)
+                try:
+                    self._handle_reply(message)
+                except Exception:  # pragma: no cover - defensive
+                    logger.exception("discarding malformed shard reply")
+        except (OSError, ValueError) as exc:
+            # A connection the pool already retired (upgrade swap, death
+            # handling, stop) ends quietly.
+            if (
+                slot.conn is conn and not conn.dead
+                and not self._stopping.is_set()
+            ):
+                logger.warning(
+                    "shard worker %d connection failed: %s",
+                    slot.worker_id, exc,
+                )
+        finally:
+            conn.mark_dead()
+            conn.release()
+
+    def _on_ready(self, slot: _Slot, conn: _WorkerConn, reply: Message) -> None:
+        """Take a connection's handshake reply; ready slots take tasks."""
+        if reply.kind != "shard_ready":
+            slot.last_error = str(reply.meta.get(
+                "reason", f"unexpected handshake reply {reply.kind!r}"
+            ))
+            raise ValueError(slot.last_error)
+        models = list(reply.require("models"))
+        with self._lock:
+            if slot.conn is not conn:
+                return  # superseded while handshaking
+            slot.ready = True
+            # A respawned worker reports the zoo it actually loaded;
+            # after a rolling upgrade that is the new generation's model
+            # list, which prepare_keys validates against.
+            self.model_names = models
+        self._dispatch_parked()
 
     def _handle_reply(self, reply: Message) -> None:
         task_id = str(reply.meta.get("task"))
@@ -1556,16 +1338,16 @@ class ShardPool:
         Thread-safe (the engine calls this from many transport threads).
         Task ids are assigned here; replies are returned in request
         order.  ``deadline`` is an absolute ``time.monotonic()`` instant
-        propagated into task frames (workers skip expired work) and
-        enforced here.
+        propagated into task frames (forked workers skip expired work)
+        and enforced here.
 
-        Worker death no longer fails the call: the supervisor requeues
+        Worker death does not fail the call: the supervisor requeues
         the dead worker's tasks onto the survivors (or the respawned
         worker) and only a task that exhausts ``max_attempts`` -- or a
         pool whose every slot is abandoned -- raises
         :class:`ShardError`.
         """
-        if self._ready_queue is None or self._stopping.is_set():
+        if self._monitor is None or self._stopping.is_set():
             raise ShardError("shard pool is not running")
         if self._fatal is not None:
             raise ShardError(self._fatal)
@@ -1629,19 +1411,14 @@ class ShardPool:
         return self.execute([Message("ping", {}) for _ in range(count)])
 
     def ipc_stats(self) -> dict:
-        """Coordinator-side IPC byte accounting (for BENCH_sharding.json).
+        """Coordinator-side stream accounting (for BENCH_sharding.json).
 
-        ``pickled_bytes`` crossed a pickling ``mp.Queue`` (whole frames
-        on the ``queue`` channel, control frames only on ``shm``);
-        ``slab_bytes`` rode shared-memory rings; ``remote_bytes`` rode
-        remote TCP streams.  Counts cover both directions (dispatch and
-        collection) over ``tasks`` dispatches.
+        ``bytes`` counts task frames sent plus reply frames received
+        (claims and results) over ``tasks`` dispatches; key frames are
+        not included.
         """
         return {
-            "channels": self.channels,
-            "pickled_bytes": int(self.ipc_pickled_bytes),
-            "slab_bytes": int(self.ipc_slab_bytes),
-            "remote_bytes": int(self.ipc_remote_bytes),
+            "bytes": int(self.ipc_bytes),
             "tasks": int(self.tasks_dispatched),
         }
 
@@ -1685,12 +1462,9 @@ class ShardExecutor:
         self.tracer = None
         # Key ids on the wire are scoped per executor *and* per upload:
         # several engines may share one pool, and their session ids all
-        # start at "s0".  Scoping makes every broadcast's id unique, so
-        # a worker can never serve a task with a stale cache entry -- an
-        # id it has not seen yet blocks on its key channel until the
-        # broadcast lands (queue feeder threads give no cross-queue
-        # ordering guarantee, so "already cached" must imply "exactly
-        # the right keys").
+        # start at "s0".  Scoping makes every upload's id unique, so
+        # a worker can never serve a task with another session's (or a
+        # superseded upload's) keys.
         self._scope = uuid.uuid4().hex[:12]
         self._scoped: dict[str, str] = {}
         self._uploads = 0
@@ -1712,7 +1486,7 @@ class ShardExecutor:
             self._scoped[key_id] = scoped
         if previous is not None:
             self.pool.drop_keys(previous)
-        self.pool.broadcast_keys(scoped, entry.name, blob)
+        self.pool.put_keys(scoped, entry.name, blob)
         return _ShardKeyHandle(scoped)
 
     def release_keys(self, key_id):
@@ -1893,27 +1667,32 @@ class ShardExecutor:
         return outputs
 
 
-# -- remote worker server -----------------------------------------------------
+# -- the worker ---------------------------------------------------------------
 
 
 class ShardWorkerServer:
-    """A standalone remote shard worker (``repro shard-worker``).
+    """A shard worker: one artifact zoo serving coordinator connections.
 
-    Runs on any host that can reach the same ``.rpa`` artifact
-    directory: the zoo is ``load_zoo``'d eagerly at :meth:`start` (so a
-    bad artifact dir fails before the port is announced), then a
-    coordinator connects and speaks the exact frames the forked workers
-    consume -- ``shard_hello``/``shard_ready`` handshake, then
-    ``keys``/``drop_keys`` broadcasts and ``ping``/``task`` requests
-    answered with ``claimed`` + ``result`` frames.
+    The pool's only worker implementation.  As a standalone ``tcp://``
+    worker (``repro shard-worker``) it runs :meth:`start`: the zoo is
+    ``load_zoo``'d eagerly (so a bad artifact dir fails before the port
+    is announced), then coordinators connect.  A local slot runs the
+    same connection loop inside a forked child on one end of a
+    socketpair (:func:`_local_worker_main`), with its real worker id and
+    incarnation (a ``tcp://`` worker reports ``-1``/``0``) and
+    ``shares_clock`` set.
 
-    Per-connection state is only the Galois-key cache: a coordinator
-    that reconnects replays every live key blob before dispatching (see
-    :meth:`ShardPool._connect_remote`), so dropping the cache with the
-    connection is exactly right.  ``deadline_mono`` in task frames is
-    ignored here -- it is a coordinator-clock ``time.monotonic()``
-    instant, which is not comparable across hosts; the coordinator
-    still enforces the deadline on its side.
+    Each connection speaks the stream protocol of the module docstring:
+    ``shard_hello``/``shard_ready`` handshake, then ``keys``/
+    ``drop_keys`` frames and ``ping``/``task`` requests answered with
+    ``claimed`` + ``result`` frames.  Per-connection state is only the
+    Galois-key cache: the coordinator ships keys per connection (see
+    :meth:`ShardPool._dispatch_locked`), so dropping the cache with the
+    connection is exactly right.
+    ``deadline_mono`` in task frames is a coordinator-clock
+    ``time.monotonic()`` instant, honoured only when ``shares_clock``
+    (a forked worker); another host's clock is not comparable, and the
+    coordinator still enforces the deadline on its side.
 
     Binding ``port=0`` picks a free port (``host``/``port``/
     ``endpoint`` report the bound address), which is what tests use to
@@ -1936,6 +1715,11 @@ class ShardWorkerServer:
         self.fault_plan = (
             WorkerFaults.from_env() if fault_plan is None else fault_plan
         )
+        #: Identity in claims, ping replies and fault hooks.
+        self.worker_id = -1
+        self.incarnation = 0
+        #: Whether task deadlines are on this process's monotonic clock.
+        self.shares_clock = False
         self.registry = None
         self.host: str | None = None
         self.port: int | None = None
@@ -1956,18 +1740,18 @@ class ShardWorkerServer:
             raise ShardError("shard worker server is not started")
         return f"tcp://{self.host}:{self.port}"
 
-    def start(self) -> "ShardWorkerServer":
-        if self._listener is not None:
-            raise ShardError("shard worker server already started")
+    def load(self) -> None:
+        """Load the zoo (pinning the NTT backend first when asked)."""
         if self.ntt_native is not None:
             _force_ntt_backend(bool(self.ntt_native))
         from ..artifacts.zoo import load_zoo
 
         self.registry = load_zoo(self.artifact_dir, verify=self.verify)
-        self._params_by_model = {
-            name: self.registry.get(name).params
-            for name in self.registry.names()
-        }
+
+    def start(self) -> "ShardWorkerServer":
+        if self._listener is not None:
+            raise ShardError("shard worker server already started")
+        self.load()
         self._listener = bind_listener(*self._requested)
         self.host, self.port = self._listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
@@ -2015,11 +1799,11 @@ class ShardWorkerServer:
 
         Called on every new coordinator connection, which is exactly when
         a rolling upgrade reaches this worker: the coordinator drains the
-        slot, drops the connection, and reconnects --
-        :meth:`ShardPool._connect_remote`'s handshake then serves as the
-        upgrade trigger.  In-flight tasks on *other* connections keep
-        their already-resolved registry entries (read-copy-update, same
-        as :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`).  A
+        slot, drops the connection, and reconnects -- the new
+        connection's handshake then serves as the upgrade trigger.
+        In-flight tasks on *other* connections keep their
+        already-resolved registry entries (read-copy-update, same as
+        :meth:`~repro.serving.registry.ModelRegistry.reload_zoo`).  A
         reload failure is logged and the current generation keeps
         serving: availability beats freshness for a worker.
         """
@@ -2045,10 +1829,6 @@ class ShardWorkerServer:
                 return
             if summary["applied"]:
                 self.reloads_total += 1
-                self._params_by_model = {
-                    name: self.registry.get(name).params
-                    for name in self.registry.names()
-                }
                 logger.info(
                     "shard worker reloaded zoo %s: generation %d -> %d",
                     self.artifact_dir, summary["previous_generation"],
@@ -2075,15 +1855,15 @@ class ShardWorkerServer:
                 daemon=True,
             ).start()
 
-    def _serve_conn(self, conn: socket.socket, addr) -> None:
+    def _serve_conn(self, conn: socket.socket, peer) -> None:
         """One coordinator connection: handshake, then serve frames.
 
         Any protocol violation or stream failure closes the connection;
         the coordinator's supervision treats that as a worker death and
-        reconnects with a full key replay, so there is nothing to
-        salvage here (crash-only, like the forked workers).
+        reconnects, shipping keys afresh, so there is nothing to salvage
+        here (crash-only).
         """
-        key_cache: dict[str, object] = {}
+        keys = _KeyCache(lambda model: self.registry.get(model).params)
         tasks_claimed = 0
         try:
             payload = recv_frame(conn)
@@ -2103,22 +1883,18 @@ class ShardWorkerServer:
                     return  # coordinator closed cleanly
                 request = decode_message(payload)
                 if request.kind == "keys":
-                    from ..bfv.serialize import deserialize_galois_keys
-
                     key_id, model = request.require("key_id", "model")
-                    key_cache[key_id] = deserialize_galois_keys(
-                        request.blobs[0], self._params_by_model[model]
-                    )
-                    continue
-                if request.kind == "drop_keys":
-                    key_cache.pop(request.require("key_id"), None)
-                    continue
-                self._serve_request(conn, request, key_cache, tasks_claimed)
-                tasks_claimed += 1
+                    keys.put(key_id, model, request.blobs[0])
+                elif request.kind == "drop_keys":
+                    keys.drop(request.require("key_id"))
+                else:
+                    if request.kind == "task":
+                        tasks_claimed += 1
+                    self._serve_request(conn, request, keys, tasks_claimed)
         except (OSError, ValueError, KeyError) as exc:
             if not self._stopping.is_set():
                 logger.warning(
-                    "shard worker connection from %s failed: %s", addr, exc
+                    "shard worker connection from %s failed: %s", peer, exc
                 )
         finally:
             with self._conn_lock:
@@ -2128,19 +1904,18 @@ class ShardWorkerServer:
             except OSError:  # pragma: no cover - defensive
                 pass
 
-    def _serve_request(self, conn, request: Message, key_cache,
+    def _serve_request(self, conn, request: Message, keys: _KeyCache,
                        tasks_claimed: int) -> None:
-        """Answer one ping/task frame with ``claimed`` + ``result``."""
+        """Answer one ping/task frame with ``claimed`` + ``result``.
+
+        ``tasks_claimed`` counts this connection's ``task`` frames
+        (1-based, pings excluded) for the fault hooks.
+        """
         attempt = attempt_of(request)
         task_id = request.meta.get("task", "?")
+        identity = {"worker": self.worker_id, "incarnation": self.incarnation}
         send_frame(conn, encode_message(Message(
-            "claimed",
-            {
-                "task": task_id,
-                "attempt": attempt,
-                "worker": -1,
-                "incarnation": 0,
-            },
+            "claimed", {"task": task_id, "attempt": attempt, **identity},
         )))
         try:
             if request.kind == "ping":
@@ -2150,24 +1925,28 @@ class ShardWorkerServer:
                         "task": request.require("task"),
                         "status": "ok",
                         "attempt": attempt,
+                        **identity,
                         "models": self.registry.names(),
-                        "cached_keys": sorted(key_cache),
+                        "cached_keys": keys.ids(),
                         "pid": os.getpid(),
                     },
                 )
             elif request.kind == "task":
                 if self.fault_plan is not None:
-                    self.fault_plan.on_task(-1, 0, tasks_claimed + 1)
-                # deadline_mono deliberately ignored: not comparable
-                # across hosts (see class docstring).
-                for key_id in request.require("key_ids"):
-                    if key_id not in key_cache:
-                        raise ShardError(
-                            f"Galois keys {key_id!r} not on this connection "
-                            "(coordinator must broadcast before dispatch)"
-                        )
+                    self.fault_plan.on_task(
+                        self.worker_id, self.incarnation, tasks_claimed
+                    )
+                deadline_mono = request.meta.get("deadline_mono")
+                if (
+                    self.shares_clock
+                    and deadline_mono is not None
+                    and time.monotonic() > float(deadline_mono)
+                ):
+                    raise ShardError(
+                        "request deadline exceeded before execution"
+                    )
                 before = GLOBAL_COUNTERS.snapshot()
-                reply = _run_task(self.registry, key_cache, request)
+                reply = _run_task(self.registry, keys, request)
                 # An in-process server (the test topology) shares
                 # GLOBAL_COUNTERS with the coordinator; roll this task's
                 # contribution back so the coordinator's fold of the
@@ -2191,7 +1970,8 @@ class ShardWorkerServer:
                     "status": "error",
                     "attempt": attempt,
                     "reason": (
-                        f"remote worker: {type(exc).__name__}: {exc}"
+                        f"shard worker {self.worker_id}: "
+                        f"{type(exc).__name__}: {exc}"
                     ),
                 },
             )

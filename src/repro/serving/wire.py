@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 _MAGIC = b"RSV1"
@@ -160,64 +159,6 @@ class ServingError(RuntimeError):
 #: unknown meta keys verbatim, so peers that predate tracing simply
 #: ignore it, and frames without it stay untraced.
 TRACE_META_KEY = "trace"
-
-
-# -- shared-memory slab descriptors -------------------------------------------
-
-#: Meta key under which a frame references an out-of-band slab: the
-#: frame's binary payloads ride a shared-memory ring instead of the
-#: frame itself, and this descriptor is how the consumer finds and
-#: validates them.
-SLAB_META_KEY = "shm_slab"
-
-
-def slab_descriptor(offset: int, slab: bytes, blob_lengths) -> dict:
-    """Describe one shared-memory slab for a frame's ``meta``.
-
-    The descriptor pins the slab to the frame three ways: the ring
-    offset the producer wrote it at, the exact byte count, and a CRC-32
-    of the whole slab.  ``blob_lengths`` records how the slab splits
-    back into the frame's ordered blobs (mirroring ``blob_lengths`` in
-    the in-band encoding).
-    """
-    return {
-        "offset": int(offset),
-        "bytes": len(slab),
-        "crc": zlib.crc32(slab) & 0xFFFFFFFF,
-        "blob_lengths": [int(length) for length in blob_lengths],
-    }
-
-
-def split_slab(descriptor: dict, offset: int, slab: bytes) -> list[bytes]:
-    """Validate a slab against its descriptor and split it into blobs.
-
-    Every field is cross-checked -- ring offset, byte count, CRC, and
-    the sum of the blob lengths -- so a slab that was torn, reordered,
-    or corrupted raises :class:`ValueError` instead of mis-slicing
-    ciphertext bytes (same contract as :func:`decode_message`).
-    """
-    if int(offset) != int(descriptor.get("offset", -1)):
-        raise ValueError(
-            f"slab offset {offset} does not match descriptor "
-            f"{descriptor.get('offset')}"
-        )
-    if len(slab) != int(descriptor.get("bytes", -1)):
-        raise ValueError(
-            f"slab of {len(slab)} bytes does not match descriptor "
-            f"{descriptor.get('bytes')}"
-        )
-    if (zlib.crc32(slab) & 0xFFFFFFFF) != int(descriptor.get("crc", -1)):
-        raise ValueError("slab CRC mismatch")
-    lengths = [int(length) for length in descriptor.get("blob_lengths", [])]
-    if any(length < 0 for length in lengths) or sum(lengths) != len(slab):
-        raise ValueError(
-            f"slab blob lengths {lengths} do not cover {len(slab)} bytes"
-        )
-    blobs, cursor = [], 0
-    for length in lengths:
-        blobs.append(bytes(slab[cursor : cursor + length]))
-        cursor += length
-    return blobs
 
 
 # -- stream framing (socket transport) ---------------------------------------

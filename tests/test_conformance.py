@@ -8,13 +8,12 @@ execution path the repo offers --
 3. the serving engine over a real TCP socket (threaded front end),
 4. the serving engine behind the asyncio :class:`AsyncGateway`,
 5. artifact warm-start (``.rpa`` -> memmapped plans) over loopback,
-6. the multi-process sharded backend (``ShardPool`` + ``ShardExecutor``),
-7. the sharded backend over zero-copy shared-memory ring channels
-   (``channels="shm"`` -- ciphertext slabs never pickled),
-8. the sharded backend over remote TCP workers
-   (:class:`ShardWorkerServer` endpoints, frames over sockets)
+6. the multi-process sharded backend (``ShardPool`` + ``ShardExecutor``)
+   over forked workers, each on its own socketpair,
+7. the sharded backend over remote TCP workers
+   (:class:`ShardWorkerServer` endpoints, the same stream protocol)
 
--- and asserts that all eight produce **bit-identical logits** and
+-- and asserts that all seven produce **bit-identical logits** and
 **identical HE op counters**, under both dot-product schedules.  This is
 the gate a new execution backend must pass before it can serve traffic:
 if a refactor changes what is computed (not just where), this suite
@@ -107,7 +106,6 @@ def env(request, tmp_path_factory, shard_worker_fleet):
     update_manifest(directory, entry, "demo.rpa")
     artifact_registry = load_zoo(directory)
     pool = ShardPool(directory, workers=2).start()
-    shm_pool = ShardPool(directory, workers=2, channels="shm").start()
     runner = PlaintextRunner(
         demo_network(), demo_weights(), rescale_bits=DEMO_RESCALE_BITS
     )
@@ -123,12 +121,10 @@ def env(request, tmp_path_factory, shard_worker_fleet):
             artifact_dir=directory,
             artifact_registry=artifact_registry,
             pool=pool,
-            shm_pool=shm_pool,
             remote_pool=remote_pool,
             plaintext=runner,
         )
         remote_pool.stop()
-    shm_pool.stop()
     pool.stop()
 
 
@@ -252,10 +248,6 @@ def _all_paths(env, image) -> dict[str, PathResult]:
             env, env.artifact_registry, image, _LoopbackFactory,
             executor=ShardExecutor(env.pool),
         ),
-        "shm-shard": _run_session(
-            env, env.artifact_registry, image, _LoopbackFactory,
-            executor=ShardExecutor(env.shm_pool),
-        ),
         "remote-shard": _run_session(
             env, env.artifact_registry, image, _LoopbackFactory,
             executor=ShardExecutor(env.remote_pool),
@@ -344,10 +336,10 @@ class TestRollingUpgradeConformance:
     regenerated (same weights, new artifact bytes, new manifest
     generation) and rolling-upgraded must observe **zero errors** and
     **bit-identical logits** on every round -- before, during, and
-    after the swap -- on all three shard fabrics.
+    after the swap -- on local and remote workers.
     """
 
-    @pytest.mark.parametrize("fabric", ["queue", "shm", "remote"])
+    @pytest.mark.parametrize("fabric", ["local", "remote"])
     def test_continuous_rounds_through_rolling_upgrade(
         self, env, fabric, tmp_path_factory, shard_worker_fleet
     ):
@@ -380,7 +372,7 @@ class TestRollingUpgradeConformance:
             else:
                 servers = []
                 pool = stack.enter_context(
-                    ShardPool(zoo_dir, workers=2, channels=fabric)
+                    ShardPool(zoo_dir, workers=2)
                 )
             engine = ServingEngine(
                 registry, max_batch=1, seed=ENGINE_SEED,

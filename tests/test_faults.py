@@ -132,7 +132,7 @@ class TestWorkerFaults:
         """The flagship chaos case: SIGKILL the only worker mid-task.
 
         The supervisor must requeue the claimed task, respawn the worker
-        (replaying the session's Galois keys into it), and complete the
+        (shipping the session's Galois keys to it again), and complete the
         inference with logits and op counters identical to the fault-free
         run -- and *without* touching the engine's local fallback.
         """
@@ -371,24 +371,23 @@ class TestConnectionFaults:
             transport.close()
 
 
-class TestShmChannelFaults:
-    """Chaos on the zero-copy shm channel: rings die with their worker."""
+class TestLocalWorkerFaults:
+    """SIGKILL on forked workers: the corpse's connection dies with it."""
 
-    def test_sigkill_shm_worker_mid_task_recovers_bit_identically(
+    def test_sigkill_only_worker_mid_task_recovers_bit_identically(
         self, artifact_dir, registry, params, reference
     ):
-        """SIGKILL the only shm worker at claim time, ring mid-write.
+        """SIGKILL the only worker at claim time, its stream mid-task.
 
-        The dead incarnation's rings may hold a half-written slab; the
-        supervisor discards them wholesale, respawns the worker with
-        fresh rings, replays the Galois keys, and the requeued task
+        The dead incarnation's socketpair may hold a half-read task; the
+        supervisor discards the connection wholesale, forks a fresh
+        worker, ships the Galois keys to it again, and the requeued task
         re-executes -- logits and op counters exactly match the
         fault-free run, with zero local degradation.
         """
         plan = WorkerFaults(crash_worker=0, crash_on_task=1)
         with ShardPool(
-            artifact_dir, workers=1, channels="shm",
-            respawn_backoff_s=0.05, fault_plan=plan,
+            artifact_dir, workers=1, respawn_backoff_s=0.05, fault_plan=plan,
         ) as pool:
             result, counters, engine = _infer_counted(
                 registry, params, reference.image,
@@ -400,15 +399,20 @@ class TestShmChannelFaults:
             assert pool.respawns_total >= 1
             assert pool.retries_total >= 1
 
-    def test_sigkill_one_of_two_shm_workers_requeues_onto_sibling(
+    def test_sigkill_one_of_two_workers_requeues_onto_sibling(
         self, artifact_dir, registry, params, reference
     ):
-        """The sibling's rings are untouched by the corpse's channels."""
+        """The sibling's connection is untouched by the corpse's.
+
+        Also pins fd hygiene: no forked worker holds a coordinator-side
+        socket end (its own or a sibling's), so a dead worker's EOF
+        reaches the coordinator and nothing else keeps it open.
+        """
         plan = WorkerFaults(crash_worker=0, crash_on_task=1)
         with ShardPool(
-            artifact_dir, workers=2, channels="shm",
-            respawn_backoff_s=0.05, fault_plan=plan,
+            artifact_dir, workers=2, respawn_backoff_s=0.05, fault_plan=plan,
         ) as pool:
+            _assert_no_coordinator_ends_in_workers(pool)
             result, counters, engine = _infer_counted(
                 registry, params, reference.image,
                 executor=ShardExecutor(pool),
@@ -418,33 +422,36 @@ class TestShmChannelFaults:
             assert engine.degraded_calls == 0
             assert pool.retries_total >= 1
 
-    def test_undersized_ring_degrades_to_inline_bit_identically(
-        self, artifact_dir, registry, params, reference
-    ):
-        """Slabs that cannot fit the ring ride the queue path instead.
 
-        A one-page ring cannot hold the demo layers' ciphertext stacks,
-        so every task falls back to in-band encoding -- ring capacity is
-        a performance knob, never a correctness constraint.
-        """
-        with ShardPool(
-            artifact_dir, workers=1, channels="shm", ring_bytes=4096
-        ) as pool:
-            result, counters, engine = _infer_counted(
-                registry, params, reference.image,
-                executor=ShardExecutor(pool),
-            )
-            assert np.array_equal(result.logits, reference.logits)
-            assert counters == reference.counters
-            assert engine.degraded_calls == 0
-            stats = pool.ipc_stats()
-            # The big task slabs overflowed the one-page ring, so the
-            # pickled path carried (at least) their inline frames.
-            assert stats["pickled_bytes"] > stats["slab_bytes"]
+def _socket_inodes(pid: int) -> set[str]:
+    inodes = set()
+    fd_dir = f"/proc/{pid}/fd"
+    for name in os.listdir(fd_dir):
+        try:
+            target = os.readlink(f"{fd_dir}/{name}")
+        except OSError:  # closed while listing
+            continue
+        if target.startswith("socket:"):
+            inodes.add(target)
+    return inodes
+
+
+def _assert_no_coordinator_ends_in_workers(pool) -> None:
+    if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+        pytest.skip("fd hygiene check needs /proc")
+    ours = {
+        f"socket:[{os.fstat(slot.conn.sock.fileno()).st_ino}]"
+        for slot in pool._slots
+    }
+    for slot in pool._slots:
+        leaked = _socket_inodes(slot.process.pid) & ours
+        assert not leaked, (
+            f"worker {slot.worker_id} holds coordinator socket ends {leaked}"
+        )
 
 
 class TestRemoteWorkerFaults:
-    """Chaos on the coordinator->remote-worker link: reconnect + replay."""
+    """Chaos on the coordinator->remote-worker link: reconnect + requeue."""
 
     def test_cut_connection_mid_result_recovers_bit_identically(
         self, artifact_dir, registry, params, reference, shard_worker_fleet
@@ -453,8 +460,8 @@ class TestRemoteWorkerFaults:
 
         The worker already executed the task, but its reply never
         landed: the coordinator marks the connection dead, requeues the
-        task, reconnects (replaying the session's Galois keys), and the
-        retry re-executes.  Only the accepted reply's counter delta is
+        task, reconnects (shipping the session's Galois keys again), and
+        the retry re-executes.  Only the accepted reply's counter delta is
         folded, so the accounting still matches the fault-free run
         exactly -- the exactly-once invariant under connection loss.
         """
@@ -612,9 +619,9 @@ class TestUpgradeChaos:
     worker down, so it is exactly where an unplanned failure is most
     likely to be mishandled (double-spawns, lost requeues, a quorum
     dip).  Each test here breaks one phase of the upgrade -- the drain,
-    the freshly-swapped worker, the key re-broadcast -- and asserts the
-    same two invariants as every other chaos case: bit-identical logits
-    and exact op-counter accounting.
+    the freshly-swapped worker, the keys re-sent after a swap -- and
+    asserts the same two invariants as every other chaos case:
+    bit-identical logits and exact op-counter accounting.
     """
 
     def test_sigkill_mid_drain_recovers_bit_identically(
@@ -739,16 +746,17 @@ class TestUpgradeChaos:
     def test_remote_cut_during_key_rebroadcast_recovers(
         self, artifact_dir, registry, params, reference, shard_worker_fleet
     ):
-        """The coordinator link dies while replaying Galois keys.
+        """The coordinator link dies while re-sending Galois keys.
 
-        A remote slot upgrades by reconnecting; the reconnect replays
-        every live key blob before the slot rejoins dispatch.  Cutting
-        the link on exactly that replay frame fails the reconnect
-        mid-re-broadcast -- the pool treats it as a death, backs off,
-        reconnects again (replaying the keys in full), and the upgrade's
-        rejoin wait succeeds.  Coordinator-side frames sent: hello(1),
-        keys(2), 3 tasks (3-5), then the upgrade reconnect's hello(6)
-        and key re-broadcast(7) -- the injected cut.
+        A remote slot upgrades by reconnecting, and the new connection
+        is shipped the session's keys again before its first task.
+        Cutting the link on exactly that key frame kills the fresh
+        connection before the task goes out -- the pool treats it as a
+        death, requeues the task, reconnects (shipping the keys in
+        full), and the round completes exactly.  Coordinator-side frames
+        sent: hello(1), keys(2), 3 tasks (3-5), then the upgrade
+        reconnect's hello(6) and the keys re-sent for the next round's
+        first task(7) -- the injected cut.
         """
         faults = ConnectionFaults(drop_on_send=7, seed=7)
         with shard_worker_fleet(artifact_dir, count=1) as servers:
@@ -775,11 +783,11 @@ class TestUpgradeChaos:
                 )
                 summary = pool.rolling_upgrade()
                 assert summary["upgraded"] == [0]
-                assert any(
-                    f.startswith("drop_on_send") for f in faults.fired
-                ), "the key re-broadcast cut never fired"
                 with counting() as delta:
                     after = session.infer(reference.image)
+                assert any(
+                    f.startswith("drop_on_send") for f in faults.fired
+                ), "the key re-send cut never fired"
                 d = delta()
                 counters_after = (
                     d.he_mult, d.he_add, d.he_rotate,

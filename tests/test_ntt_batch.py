@@ -7,6 +7,8 @@ reduced into [0, p), and leave the paper's NTT/modmul accounting exactly
 as the scalar implementation recorded it.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,22 @@ class TestEngineConstruction:
     def test_requires_moduli(self):
         with pytest.raises(ValueError):
             RnsNttEngine(N, ())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_fresh_engine_lock(self, moduli):
+        """A lock held by a parent thread at fork time is not inherited held.
+
+        Shard workers fork from a coordinator whose threads transform on
+        the same memoized engines; a child inheriting a held numpy-path
+        lock would deadlock on its first transform.
+        """
+        engine = get_engine(N, moduli)
+        with engine._lock:
+            pid = os.fork()
+            if pid == 0:  # child: report whether the lock is usable
+                os._exit(0 if engine._lock.acquire(timeout=5.0) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_concurrent_transforms_are_isolated(self, engine, contexts, moduli):
         """Memoized engines share scratch buffers; the lock must keep

@@ -2,13 +2,16 @@
 
 The conformance suite (``test_conformance.py``) pins sharded logits and
 op counters against every other execution path; this file covers the
-pool mechanics themselves: readiness, key broadcast/drop, row and
-output-channel splitting, error propagation, and shutdown.
+pool mechanics themselves: readiness, key shipping/drop, row and
+output-channel splitting, error propagation, shutdown, and the stream
+fabric's writer thread.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,10 +29,13 @@ from repro.serving import (
     ShardError,
     ShardExecutor,
     ShardPool,
+    bind_listener,
     demo_image,
     demo_network,
     demo_weights,
+    encode_message,
 )
+from repro.serving.wire import recv_frame, send_frame
 
 SCHEDULE = Schedule.INPUT_ALIGNED
 
@@ -272,19 +278,10 @@ class TestShardedServing:
             cached = pool.ping(1)[0].meta["cached_keys"]
             assert any(marker in key_id for key_id in cached), cached
             session.close()
-            # Drops are applied when the worker next drains its key
-            # channel; queue feeders are asynchronous, so give the drop
-            # a bounded window to land rather than asserting one ping.
-            import time
-
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                cached = pool.ping(1)[0].meta["cached_keys"]
-                if not any(marker in key_id for key_id in cached):
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail(f"keys never dropped from worker cache: {cached}")
+            # The drop is queued on the worker's stream ahead of the
+            # next ping, so one ping observes it.
+            cached = pool.ping(1)[0].meta["cached_keys"]
+            assert not any(marker in key_id for key_id in cached), cached
 
     def test_mismatched_registry_rejected(self, shard_params, pool):
         """A model the workers did not load must be rejected at key upload."""
@@ -303,6 +300,126 @@ class TestShardedServing:
 
         with pytest.raises(ServingError, match="artifact"):
             session.connect("other")
+
+
+class TestStreamFabric:
+    """The one worker protocol: non-blocking sends and lazy key decode."""
+
+    def test_worker_that_stops_reading_does_not_stall_the_pool(
+        self, artifact_dir, shard_worker_fleet
+    ):
+        """Regression: no socket write happens under the pool lock.
+
+        One endpoint answers the handshake and then never reads again; a
+        real worker is its sibling.  A multi-MB task dispatched to the
+        stuck slot fills the socket buffers, yet a concurrent task must
+        still complete on the sibling: dispatch only enqueues onto the
+        stuck connection's writer thread, so neither ``execute`` nor the
+        sibling's reply handling ever waits on it.
+        """
+        listener = bind_listener("127.0.0.1", 0)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+        release = threading.Event()
+
+        def stuck_endpoint():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)  # shard_hello
+                send_frame(conn, encode_message(
+                    Message("shard_ready", {"models": ["demo"]})
+                ))
+                release.wait(120.0)
+
+        threading.Thread(target=stuck_endpoint, daemon=True).start()
+        host, port = listener.getsockname()[:2]
+        with shard_worker_fleet(artifact_dir, count=1) as servers:
+            pool = ShardPool(
+                None, workers=0,
+                remote_endpoints=[f"tcp://{host}:{port}", servers[0].endpoint],
+            ).start()
+            try:
+                big = Message("ping", {}, [bytes(16 << 20)])
+
+                def dispatch_to_stuck_slot():
+                    try:
+                        pool.execute([big])
+                    except ShardError:
+                        pass  # failed out when the pool stops
+
+                threading.Thread(
+                    target=dispatch_to_stuck_slot, daemon=True
+                ).start()
+                deadline = time.monotonic() + 10.0
+                while pool.tasks_dispatched < 1:
+                    assert time.monotonic() < deadline, "task never dispatched"
+                    time.sleep(0.01)
+                sibling: dict = {}
+                ping = threading.Thread(
+                    target=lambda: sibling.update(reply=pool.ping(1)[0]),
+                    daemon=True,
+                )
+                ping.start()
+                ping.join(timeout=15.0)
+                assert "reply" in sibling, (
+                    "a worker that stopped reading stalled the whole pool"
+                )
+                assert sibling["reply"].meta["status"] == "ok"
+            finally:
+                # Close the stuck endpoint first: a send blocked on it
+                # then fails instead of hanging the pool's shutdown.
+                release.set()
+                pool.stop()
+                listener.close()
+
+    def test_keys_ship_and_decode_only_for_tasks_that_name_them(
+        self, registry, shard_params, artifact_dir, shard_worker_fleet,
+        plaintext_logits, monkeypatch,
+    ):
+        """A session dropped before any task costs the worker nothing.
+
+        Its keys are never shipped, so never decoded; a used session's
+        keys are shipped once and decoded exactly once, however many
+        layers run under them.
+        """
+        from repro.serving import shards
+
+        decodes = []
+        real_decode = shards.deserialize_galois_keys
+
+        def counting_decode(blob, params):
+            decodes.append(len(blob))
+            return real_decode(blob, params)
+
+        monkeypatch.setattr(shards, "deserialize_galois_keys", counting_decode)
+        with shard_worker_fleet(artifact_dir, count=1) as servers:
+            with ShardPool(
+                None, workers=0, remote_endpoints=[servers[0].endpoint]
+            ) as pool:
+                engine = ServingEngine(
+                    registry, max_batch=1, executor=ShardExecutor(pool)
+                )
+                unused = ClientSession(
+                    demo_network(), shard_params, LoopbackTransport(engine),
+                    seed=3,
+                )
+                unused.connect("demo")
+                assert pool.ping(1)[0].meta["cached_keys"] == []
+                unused.close()
+                session = ClientSession(
+                    demo_network(), shard_params, LoopbackTransport(engine),
+                    seed=4,
+                )
+                session.connect("demo")
+                image = demo_image(2)
+                assert np.array_equal(
+                    session.infer(image).logits, plaintext_logits(image)
+                )
+                marker = f":{session.session_id}:"
+                cached = pool.ping(1)[0].meta["cached_keys"]
+                assert len(cached) == 1 and marker in cached[0], cached
+                session.close()
+        # Three linear rounds ran under one session's keys.
+        assert len(decodes) == 1
 
 
 class TestOcRangePlanSlicing:
