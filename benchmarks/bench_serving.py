@@ -17,15 +17,7 @@ Measures the serving subsystem end to end over the loopback transport
     pending for the same layer merged into stacked (k, B, n) engine
     calls.  Also swept over client counts for the latency profile.
 
-A second section compares the two TCP front ends -- the asyncio
-:class:`AsyncGateway` vs the thread-per-connection :class:`SocketServer`
--- at 16 and 32 concurrent clients over real sockets (req/s, p50/p95,
-batch-fill rate from the metrics surface).  On multi-core hosts the
-async gateway must match or beat the threaded server at 16+ clients;
-on a single shared core the numbers are recorded honestly but the gate
-is informational (``frontend_comparison.gate_enforced`` says which).
-
-A third section measures request-tracing overhead on the serial
+A second section measures request-tracing overhead on the serial
 loopback path: no tracer wired in vs a disabled :class:`Tracer` (the
 production default) vs tracing fully on.  The disabled tracer must cost
 at most ``TRACING_GATE_PCT`` (2%) throughput -- observability that is
@@ -34,7 +26,10 @@ not off-by-default cheap does not ship.
 Every mode's logits are checked bit-identical to direct in-process
 :class:`GazelleProtocol` runs.  The acceptance gate is ``batched``
 requests/sec >= 2x ``one_session_at_a_time`` requests/sec at 8
-concurrent clients; results land in ``BENCH_serving.json``.
+concurrent clients; results land in ``BENCH_serving.json`` with the
+host's core count (``cpu_count``).  Serving over real TCP through the
+:class:`~repro.serving.AsyncGateway` front end is measured end to end by
+``perfbench/run.py``, not here.
 
 Run with::
 
@@ -55,18 +50,13 @@ import numpy as np
 from repro.bfv import BfvParameters
 from repro.bfv.ntt_batch import get_engine
 from repro.core.noise_model import Schedule
-from repro.nn.plaintext import PlaintextRunner
 from repro.protocol import GazelleProtocol
 from repro.serving import (
     DEMO_RESCALE_BITS,
-    AsyncGateway,
     ClientSession,
     LoopbackTransport,
-    MetricsRegistry,
     ModelRegistry,
     ServingEngine,
-    SocketServer,
-    SocketTransport,
     Tracer,
     demo_image,
     demo_network,
@@ -85,15 +75,6 @@ REQUESTS_PER_CLIENT = 3
 #: Timing repetitions per mode (best run recorded, as in the other benches;
 #: the single shared core makes individual threaded runs scheduler-noisy).
 REPS = 3
-
-#: TCP front-end comparison points (async gateway vs threaded server).
-FRONTEND_CLIENTS = (16, 32)
-#: Repetitions per front-end point (best run kept, like the modes above).
-FRONTEND_REPS = 2
-#: The async-vs-threaded gate only binds where the two front ends can
-#: actually diverge: on a single shared core every request serialises on
-#: the GIL + the one CPU, so the numbers are recorded but informational.
-GATE_ENFORCED = (os.cpu_count() or 1) >= 4
 
 #: Tracing-overhead gate: a disabled tracer (the production default) may
 #: cost at most this much throughput vs no tracer wired in at all.
@@ -188,72 +169,6 @@ def _run_persistent(registry, params, images, clients, max_batch, window_s=0.05)
         for j, value in enumerate(logits[index]):
             ordered[index + j * clients] = value
     return elapsed, [l for client in latencies for l in client], ordered, setup_s
-
-
-def _run_tcp_frontend(registry, params, images, clients, frontend):
-    """One inference per client over real TCP through the given front end.
-
-    All clients connect and upload keys first, then release from a
-    barrier together, so the timed window measures the request path (and
-    how well each front end feeds the cross-client batcher), not session
-    setup.  Returns the metrics batch-fill section alongside the timings.
-    """
-    metrics = MetricsRegistry()
-    engine = ServingEngine(
-        registry, max_batch=clients, batch_window_s=0.05,
-        seed=ENGINE_SEED, metrics=metrics,
-    )
-    if frontend == "async":
-        server = AsyncGateway(
-            engine, port=0,
-            executor_threads=min(clients, 16),
-            queue_limit=2 * clients,
-        )
-    else:
-        server = SocketServer(engine, port=0, workers=clients)
-    latencies = [None] * clients
-    logits = [None] * clients
-    errors = []
-    barrier = threading.Barrier(clients + 1)
-
-    def drive(index):
-        try:
-            transport = SocketTransport(server.host, server.port)
-            try:
-                session = ClientSession(
-                    demo_network(), params, transport, seed=700 + index
-                )
-                session.connect("demo")
-                barrier.wait()
-                t0 = time.perf_counter()
-                logits[index] = session.infer(images[index]).logits
-                latencies[index] = time.perf_counter() - t0
-                session.close()
-            finally:
-                transport.close()
-        except Exception as exc:  # surfaced below; don't hang the barrier
-            errors.append((index, exc))
-            barrier.abort()
-
-    with server:
-        threads = [
-            threading.Thread(target=drive, args=(index,))
-            for index in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            pass
-        start = time.perf_counter()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        fill = metrics.snapshot()["batch_fill"]
-    if errors:
-        raise AssertionError(f"{frontend} front end client failures: {errors!r}")
-    return elapsed, latencies, logits, fill
 
 
 def _run_traced(registry, params, images, expected, tracer):
@@ -383,42 +298,6 @@ def test_serving_throughput():
         if clients == CLIENTS:
             batched_stats = stats
 
-    # -- TCP front-end comparison: async gateway vs threaded server --------
-    frontend_images = [demo_image(100 + index) for index in range(max(FRONTEND_CLIENTS))]
-    plaintext = PlaintextRunner(
-        demo_network(), demo_weights(), rescale_bits=DEMO_RESCALE_BITS
-    )
-    frontend_expected = [plaintext.run(image) for image in frontend_images]
-    frontend_points = []
-    for clients in FRONTEND_CLIENTS:
-        point = {"clients": clients, "requests_per_client": 1}
-        for frontend in ("threaded", "async"):
-            runs = []
-            for _ in range(FRONTEND_REPS):
-                elapsed, lat, logits, fill = _run_tcp_frontend(
-                    registry, params, frontend_images[:clients], clients, frontend
-                )
-                for index, value in enumerate(logits):
-                    assert np.array_equal(value, frontend_expected[index]), (
-                        f"{frontend} front end logits diverged "
-                        f"(client {index}, {clients} clients)"
-                    )
-                runs.append((elapsed, lat, fill))
-            elapsed, lat, fill = _best_of(runs)
-            stats = _stats(elapsed, lat, clients)
-            # How full the cross-client batcher's stacks ran: 1.0 means
-            # every (k, B, n) engine call carried all `clients` requests.
-            stats["batch_fill_mean"] = fill["mean_fill"]
-            stats["batch_fill_rate"] = (
-                fill["mean_fill"] / clients if fill["mean_fill"] else 0.0
-            )
-            point[frontend] = stats
-        point["async_vs_threaded"] = (
-            point["async"]["requests_per_sec"]
-            / point["threaded"]["requests_per_sec"]
-        )
-        frontend_points.append(point)
-
     # -- Tracing overhead: off-by-default must be (nearly) free -------------
     tracing = _measure_tracing_overhead(
         registry, params, images[:TRACING_REQUESTS], expected[:TRACING_REQUESTS]
@@ -456,23 +335,6 @@ def test_serving_throughput():
     )
 
     print(
-        f"\nTCP front-end comparison (1 request/client, "
-        f"{os.cpu_count()} cpu(s), gate "
-        f"{'enforced' if GATE_ENFORCED else 'informational'}):"
-    )
-    print(f"{'point':<22}{'req/s':>8}{'p50 ms':>9}{'p95 ms':>9}{'fill':>7}")
-    for point in frontend_points:
-        for frontend in ("threaded", "async"):
-            stats = point[frontend]
-            print(
-                f"{frontend} ({point['clients']} clients)".ljust(22)
-                + f"{stats['requests_per_sec']:>8.2f}"
-                f"{stats['latency_p50_ms']:>9.0f}{stats['latency_p95_ms']:>9.0f}"
-                f"{stats['batch_fill_rate']:>7.2f}"
-            )
-        print(f"  async vs threaded: {point['async_vs_threaded']:.2f}x")
-
-    print(
         f"\ntracing overhead (serial loopback, {tracing['requests']} requests, "
         f"best of {tracing['reps']}):"
     )
@@ -495,6 +357,7 @@ def test_serving_throughput():
             params.n, params.coeff_basis.primes
         ).uses_native_kernel else "numpy",
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "gate_speedup": GATE_SPEEDUP,
         "modes": {
             # The acceptance baseline: no session reuse, no concurrency --
@@ -510,17 +373,6 @@ def test_serving_throughput():
             batched_stats["requests_per_sec"] / persist_stats["requests_per_sec"]
         ),
         "latency_vs_clients": sweep,
-        "frontend_comparison": {
-            # Real sockets, one inference per client, all clients released
-            # from a barrier together after key upload.  `batch_fill_rate`
-            # is mean batch size / client count from the metrics surface.
-            "transport": "tcp",
-            "gate": "async requests_per_sec >= threaded at 16+ clients",
-            "gate_enforced": GATE_ENFORCED,
-            "cpu_count": os.cpu_count(),
-            "reps": FRONTEND_REPS,
-            "points": frontend_points,
-        },
         # Serial loopback req/s with no tracer wired in, with a disabled
         # tracer (the production default), and with tracing fully on.
         "tracing": tracing,
@@ -533,12 +385,6 @@ def test_serving_throughput():
         f"batched serving {speedup:.2f}x below the {GATE_SPEEDUP}x gate over "
         f"one-session-at-a-time execution"
     )
-    if GATE_ENFORCED:
-        for point in frontend_points:
-            assert point["async_vs_threaded"] >= 1.0, (
-                f"async gateway {point['async_vs_threaded']:.2f}x slower than "
-                f"the threaded server at {point['clients']} clients"
-            )
     assert tracing["disabled_overhead_pct"] <= TRACING_GATE_PCT, (
         f"disabled tracer costs {tracing['disabled_overhead_pct']:.2f}% "
         f"throughput, above the {TRACING_GATE_PCT}% gate -- tracing must be "

@@ -18,9 +18,8 @@ runs.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Integer multiplications per modular multiplication (Barrett reduction).
 BARRETT_INT_MULTS = 5
@@ -43,7 +42,6 @@ class OpCounters:
     ntt: int = 0
     modmuls: int = 0
     butterflies: int = 0
-    kernel_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def int_mults(self) -> int:
@@ -58,9 +56,6 @@ class OpCounters:
         self.ntt += count
         self.butterflies += count * (n // 2) * (n.bit_length() - 1)
 
-    def add_time(self, kernel: str, seconds: float) -> None:
-        self.kernel_seconds[kernel] = self.kernel_seconds.get(kernel, 0.0) + seconds
-
     def reset(self) -> None:
         self.he_mult = 0
         self.he_add = 0
@@ -68,11 +63,10 @@ class OpCounters:
         self.ntt = 0
         self.modmuls = 0
         self.butterflies = 0
-        self.kernel_seconds = {}
 
     def snapshot(self) -> "OpCounters":
         """Return an independent copy of the current tallies."""
-        copy = OpCounters(
+        return OpCounters(
             he_mult=self.he_mult,
             he_add=self.he_add,
             he_rotate=self.he_rotate,
@@ -80,12 +74,10 @@ class OpCounters:
             modmuls=self.modmuls,
             butterflies=self.butterflies,
         )
-        copy.kernel_seconds = dict(self.kernel_seconds)
-        return copy
 
     def diff(self, earlier: "OpCounters") -> "OpCounters":
         """Return the delta between this tally and an earlier snapshot."""
-        delta = OpCounters(
+        return OpCounters(
             he_mult=self.he_mult - earlier.he_mult,
             he_add=self.he_add - earlier.he_add,
             he_rotate=self.he_rotate - earlier.he_rotate,
@@ -93,20 +85,6 @@ class OpCounters:
             modmuls=self.modmuls - earlier.modmuls,
             butterflies=self.butterflies - earlier.butterflies,
         )
-        delta.kernel_seconds = {
-            name: seconds - earlier.kernel_seconds.get(name, 0.0)
-            for name, seconds in self.kernel_seconds.items()
-        }
-        return delta
-
-    @contextmanager
-    def timed(self, kernel: str):
-        """Context manager accumulating wall-clock time for ``kernel``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_time(kernel, time.perf_counter() - start)
 
 
 #: Process-wide counter used by default throughout :mod:`repro.bfv`.

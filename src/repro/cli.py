@@ -23,14 +23,13 @@ Commands
     (bit-identical logits, multi-core throughput), each on its own
     socketpair; ``--remote-workers host:port,...`` adds remote ``repro
     shard-worker`` processes, which speak the same stream protocol over
-    TCP.  The front end is the
-    event-driven asyncio gateway by default (``--frontend threaded``
-    keeps the thread-per-connection server); ``--quota-rps``,
-    ``--max-queue-depth``, ``--session-ttl-s`` and ``--stats-interval``
-    control admission, session lifetime, and observability.  ``GET
-    /healthz`` and ``GET /metrics`` (JSON, or Prometheus text with
-    ``?format=prometheus``) answer on the serving port of either front
-    end; ``--trace`` / ``--trace-dir`` turn on end-to-end request
+    TCP.  The front end is the event-driven asyncio gateway: connections
+    multiplex onto one event loop and ``--threads`` executor threads run
+    the engine; ``--quota-rps``, ``--max-queue-depth``,
+    ``--session-ttl-s`` and ``--stats-interval`` control admission,
+    session lifetime, and observability.  ``GET /healthz`` and ``GET
+    /metrics`` (JSON, or Prometheus text with ``?format=prometheus``)
+    answer on the serving port; ``--trace`` / ``--trace-dir`` turn on end-to-end request
     tracing, and ``--log-level`` / ``--log-json`` shape the structured
     logs.
 ``shard-worker --artifacts DIR [--host H] [--port P]``
@@ -226,7 +225,6 @@ def _cmd_serve(args) -> int:
         MetricsRegistry,
         ModelRegistry,
         ServingEngine,
-        SocketServer,
         configure_logging,
         demo_network,
         demo_params,
@@ -340,28 +338,18 @@ def _cmd_serve(args) -> int:
     max_frame_bytes = (
         int(args.max_frame_mb * (1 << 20)) if args.max_frame_mb else None
     )
-    if args.frontend == "async":
-        server = AsyncGateway(
-            engine,
-            host=args.host,
-            port=args.port,
-            executor_threads=args.threads,
-            max_frame_bytes=max_frame_bytes,
-        )
-    else:
-        server = SocketServer(
-            engine,
-            host=args.host,
-            port=args.port,
-            workers=args.threads,
-            max_frame_bytes=max_frame_bytes,
-        )
-    server.start()
+    server = AsyncGateway(
+        engine,
+        host=args.host,
+        port=args.port,
+        executor_threads=args.threads,
+        max_frame_bytes=max_frame_bytes,
+    ).start()
     log.info(
         "serving %d model(s) %s on %s:%d "
-        "(frontend=%s, max_batch=%d, threads=%d, shard_workers=%d)",
+        "(max_batch=%d, threads=%d, shard_workers=%d)",
         len(registry.names()), registry.names(), server.host, server.port,
-        args.frontend, engine.max_batch, args.threads, args.workers,
+        engine.max_batch, args.threads, args.workers,
     )
     log.info(
         "http: curl http://%s:%d/healthz | .../metrics (JSON snapshot) | "
@@ -370,8 +358,8 @@ def _cmd_serve(args) -> int:
     )
 
     # Graceful shutdown: SIGTERM (fleet orchestrators) and SIGINT both
-    # drain in-flight requests through SocketServer.stop() instead of
-    # killing the accept loop mid-reply; the shard pool drains after the
+    # drain in-flight requests through AsyncGateway.stop() instead of
+    # closing connections mid-reply; the shard pool drains after the
     # front end (in-flight requests may still need workers).
     stop_requested = threading.Event()
 
@@ -756,9 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--threads", type=int, default=16,
         help="engine thread budget: executor threads for the async "
-             "gateway (connections are unbounded), or max concurrently "
-             "connected clients for --frontend threaded (one thread per "
-             "connection)",
+             "gateway (connections are unbounded; a thread is held only "
+             "while the engine computes a reply)",
     )
     serve.add_argument(
         "--max-attempts", type=int, default=3, dest="max_attempts",
@@ -771,12 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="soft per-round deadline in seconds (0 = no deadline); a "
              "shard backend that cannot meet it degrades to in-process "
              "execution",
-    )
-    serve.add_argument(
-        "--frontend", choices=["async", "threaded"], default="async",
-        help="TCP front end: the event-driven asyncio gateway (default; "
-             "sessions multiplex onto --threads executor threads, metrics "
-             "served on the same port) or the thread-per-connection server",
     )
     serve.add_argument(
         "--session-ttl-s", type=float, default=0.0, dest="session_ttl_s",

@@ -69,8 +69,9 @@ class SessionState(Enum):
     what makes the transport's replay-on-reconnect safe -- while
     ``linear`` requires ``READY``.  Because the state lives on the
     session (keyed by id in the engine) and not on a connection or a
-    thread, a session survives its transport: a client may reconnect, or
-    hop between the threaded and async front ends, mid-inference.
+    thread, a session survives its transport: a client may reconnect
+    mid-inference, or move between an in-process loopback and the TCP
+    gateway.
     """
 
     AWAIT_KEYS = "await_keys"
@@ -290,7 +291,6 @@ class ServingEngine:
         seed: int | None = None,
         executor=None,
         request_deadline_s: float | None = None,
-        fallback_local: bool = True,
         session_ttl_s: float | None = None,
         metrics=None,
         admission=None,
@@ -329,9 +329,8 @@ class ServingEngine:
         )
         #: When the execution backend fails a layer call
         #: (:class:`ExecutionBackendError`: pool below quorum, task out
-        #: of attempts, deadline missed), re-run it on the in-process
+        #: of attempts, deadline missed), it is re-run on this in-process
         #: :class:`LocalExecutor` instead of failing the session.
-        self.fallback_local = bool(fallback_local)
         self._local = (
             self.executor
             if isinstance(self.executor, LocalExecutor)
@@ -340,8 +339,8 @@ class ServingEngine:
         self._stats_lock = threading.Lock()
         #: Layer calls served by the local fallback after a backend failure.
         self.degraded_calls = 0
-        #: Backend failures observed (== degraded_calls unless fallback
-        #: is off or the fallback itself failed).
+        #: Backend failures observed (== degraded_calls unless the raw
+        #: Galois keys were not at hand or the fallback itself failed).
         self.backend_failures = 0
         #: Session-table bound: clients that vanish without sending ``close``
         #: (crashes, dropped connections) must not leak their multi-MB Galois
@@ -838,11 +837,10 @@ class ServingEngine:
     ):
         """One stacked plan execution + blinding for B pending requests.
 
-        A backend failure degrades to the in-process executor (when
-        ``fallback_local`` and the raw Galois keys are at hand) instead
-        of failing every session in the batch: plan execution is
-        deterministic, so the local replay is bit-identical to what the
-        backend would have produced.
+        A backend failure degrades to the in-process executor (when the
+        raw Galois keys are at hand) instead of failing every session in
+        the batch: plan execution is deterministic, so the local replay
+        is bit-identical to what the backend would have produced.
         """
         ctxs = list(trace_ctxs or [])
         ctxs += [None] * (len(batch_inputs) - len(ctxs))
@@ -867,8 +865,7 @@ class ServingEngine:
                 self.backend_failures += 1
             fallback = batch_fallback or []
             if (
-                not self.fallback_local
-                or self.executor is self._local
+                self.executor is self._local
                 or len(fallback) != len(batch_inputs)
                 or any(keys is None for keys in fallback)
             ):

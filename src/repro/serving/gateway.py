@@ -1,29 +1,18 @@
-"""The asyncio serving gateway: an event-driven front end for the engine.
+"""The asyncio serving gateway: the TCP front end for the engine.
 
-The threaded :class:`~repro.serving.transport.SocketServer` dedicates
-one pooled thread to each connection for the connection's lifetime, so a
-client's *think-time* -- decrypting the blinded layer outputs, running
-the garbled-circuit stage, re-encrypting the next activations -- leaves
-its thread parked in ``recv``.  At high client counts that both caps how
-many clients can connect (``workers`` bounds connections, not load) and
-starves the cross-client batcher: threads arrive at the engine staggered
-by think-time instead of together.
+All connections multiplex onto one ``asyncio`` event loop, which runs in
+a background thread so the gateway presents a synchronous ``start()`` /
+``stop()`` surface.  A client's *think-time* -- decrypting the blinded
+layer outputs, running the garbled-circuit stage, re-encrypting the next
+activations -- therefore costs no thread: a thread from the small
+executor pool is occupied only while the engine is actually computing a
+reply (``run_in_executor``), so the number of connected clients is not
+bounded by the thread budget.
 
-:class:`AsyncGateway` inverts the coupling.  All connections multiplex
-onto one ``asyncio`` event loop (running in a background thread, so the
-gateway presents the same synchronous ``start()``/``stop()`` surface as
-``SocketServer``); a thread from the small executor pool is occupied
-only while the engine is actually computing a reply
-(``run_in_executor``).  Concurrent requests therefore reach
-:class:`~repro.serving.engine.ServingEngine` together and meet in its
-``_LayerBatcher`` -- the event-driven batch window (flush on full batch,
-the ``batch_window_s`` timer, or an idle gap) sees full same-layer
-stacks instead of think-time-staggered stragglers.
-
-Everything below the front end is untouched: same wire frames, same
-engine, same executors -- which is what lets the differential
+Everything below the front end is the engine's: same wire frames, same
+batcher, same executors -- which is what lets the differential
 conformance suite pin the gateway to bit-identical logits and HE op
-counters against every other execution path.
+counters against the in-process execution paths.
 
 The gateway speaks two protocols on one port, distinguished by the
 first four bytes of a connection: the native length-prefixed wire
@@ -40,18 +29,18 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .admission import busy_message
+from .admission import DEFAULT_RETRY_AFTER_S, busy_message
 from .metrics import render_http
 from .tracing import NULL_TRACER
 from .wire import (
     MAX_FRAME_BYTES,
     TRACE_META_KEY,
     Message,
+    _LEN,
     decode_message,
     encode_message,
     error_message,
@@ -59,7 +48,12 @@ from .wire import (
 
 logger = logging.getLogger(__name__)
 
-_LEN = struct.Struct("<I")
+#: Bound on how long ``stop()`` waits for in-flight replies.
+DRAIN_TIMEOUT_S = 30.0
+
+#: Upper bound on the idle-session TTL sweep period (the sweep also runs
+#: at least once per ``session_ttl_s``).
+SESSION_SWEEP_INTERVAL_S = 1.0
 
 #: Request kinds the gateway may refuse with ``busy`` under load.  Only
 #: the HE-heavy data-plane round is sheddable; control-plane kinds
@@ -72,9 +66,11 @@ SHEDDABLE_KINDS = frozenset({"linear"})
 class AsyncGateway:
     """Event-driven TCP front end for a :class:`ServingEngine`.
 
-    Mirrors ``SocketServer``'s synchronous surface (``start``, ``stop``,
-    ``host``/``port``, context manager) so callers -- CLI, benchmarks,
-    the conformance suite -- treat the two front ends interchangeably.
+    Synchronous surface: ``start``/``stop`` (also as a context manager)
+    and the bound ``host``/``port``.  ``executor_threads`` bounds the
+    replies computed at once, not the connections; ``queue_limit``
+    bounds the ``linear`` rounds in flight before the gateway answers
+    ``busy``.
     """
 
     def __init__(
@@ -85,10 +81,6 @@ class AsyncGateway:
         executor_threads: int = 16,
         queue_limit: int | None = None,
         max_frame_bytes: int | None = None,
-        metrics=None,
-        busy_retry_after_s: float = 0.05,
-        drain_timeout_s: float = 30.0,
-        session_sweep_interval_s: float = 1.0,
     ):
         self.engine = engine
         self.host = host
@@ -102,13 +94,10 @@ class AsyncGateway:
         self.max_frame_bytes = (
             MAX_FRAME_BYTES if max_frame_bytes is None else int(max_frame_bytes)
         )
-        self.metrics = metrics if metrics is not None else getattr(engine, "metrics", None)
+        self.metrics = getattr(engine, "metrics", None)
         #: Request tracer, shared with the engine: the gateway owns each
         #: request's root span, the engine hangs its ``handle`` span off it.
         self.tracer = getattr(engine, "tracer", None) or NULL_TRACER
-        self.busy_retry_after_s = float(busy_retry_after_s)
-        self.drain_timeout_s = float(drain_timeout_s)
-        self.session_sweep_interval_s = float(session_sweep_interval_s)
         self._executor = ThreadPoolExecutor(
             max_workers=self.executor_threads, thread_name_prefix="repro-gateway"
         )
@@ -178,7 +167,7 @@ class AsyncGateway:
     async def _sweep_sessions(self) -> None:
         """Periodic idle-session TTL sweep (the engine's is lazy)."""
         interval = min(
-            self.session_sweep_interval_s, float(self.engine.session_ttl_s)
+            SESSION_SWEEP_INTERVAL_S, float(self.engine.session_ttl_s)
         )
         while True:
             await asyncio.sleep(max(interval, 0.01))
@@ -195,7 +184,7 @@ class AsyncGateway:
         if self._startup_error is None and self._loop is not None:
             future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
             try:
-                future.result(timeout=self.drain_timeout_s + 15)
+                future.result(timeout=DRAIN_TIMEOUT_S + 15)
             except Exception:  # pragma: no cover - defensive
                 logger.exception("gateway shutdown raised")
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -214,7 +203,7 @@ class AsyncGateway:
         # in-flight counter and the reply write happen in the same
         # scheduling slice (no await between them), so observing zero
         # here means every reply is at least in the transport buffer.
-        deadline = time.monotonic() + self.drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         while self._inflight and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         for writer in list(self._writers):
@@ -273,9 +262,7 @@ class AsyncGateway:
             request = decode_message(payload)
         except ValueError as exc:
             return encode_message(error_message(f"bad frame: {exc}"))
-        span = self.tracer.accept(
-            "request", request.meta, kind=request.kind, frontend="async"
-        )
+        span = self.tracer.accept("request", request.meta, kind=request.kind)
         if (
             self.queue_limit
             and request.kind in SHEDDABLE_KINDS
@@ -284,7 +271,7 @@ class AsyncGateway:
             # Load shedding in the event loop: the refusal costs no
             # executor thread and no engine work.
             self.busy_rejections += 1
-            reply = busy_message(self.busy_retry_after_s, "gateway job queue full")
+            reply = busy_message(DEFAULT_RETRY_AFTER_S, "gateway job queue full")
             if self.metrics is not None:
                 self.metrics.record_request(request.kind, 0.0, reply.kind)
             span.set(outcome="busy").finish()
@@ -319,8 +306,7 @@ class AsyncGateway:
 
         The ``b"GET "`` prefix was already consumed by the sniffer, so
         the stream resumes at the request target.  Routing (``/metrics``
-        JSON, ``/metrics?format=prometheus``, ``/healthz``) is shared
-        with the threaded front end via
+        JSON, ``/metrics?format=prometheus``, ``/healthz``) lives in
         :func:`~repro.serving.metrics.render_http`.
         """
         try:

@@ -342,17 +342,14 @@ def prometheus_text(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def health_payload(engine, frontend: str | None = None) -> dict:
+def health_payload(engine) -> dict:
     """Liveness + worker-quorum status for ``GET /healthz``.
 
     ``status`` is ``"ok"`` while the engine can serve at full strength
     and ``"degraded"`` once the shard pool is below the executor's
-    quorum (requests then fall back to local execution or fail,
-    depending on ``fallback_local``).
+    quorum (layer calls then degrade to local execution).
     """
     payload: dict = {"status": "ok"}
-    if frontend:
-        payload["frontend"] = frontend
     if engine is None:
         return payload
     registry = getattr(engine, "registry", None)

@@ -35,7 +35,6 @@ from repro.serving import (
     ServingEngine,
     ServingError,
     SessionState,
-    SocketServer,
     SocketTransport,
     TokenBucket,
     demo_image,
@@ -552,12 +551,19 @@ class TestFrameCaps:
         ) as gateway:
             assert self._oversized_probe(gateway.host, gateway.port)
 
-    def test_threaded_server_rejects_oversized_claim(self, registry):
+    def test_bad_frame_gets_error_reply(self, registry):
+        """An undecodable frame is answered with ``error``, not a drop."""
+        from repro.serving.wire import decode_message, recv_frame, send_frame
+
         engine = ServingEngine(registry, max_batch=1, seed=28)
-        with SocketServer(
-            engine, workers=1, max_frame_bytes=1 << 16
-        ) as server:
-            assert self._oversized_probe(server.host, server.port)
+        with AsyncGateway(engine, executor_threads=1) as gateway:
+            with socket.create_connection(
+                (gateway.host, gateway.port), timeout=5
+            ) as sock:
+                send_frame(sock, b"not a message frame")
+                reply = decode_message(recv_frame(sock))
+                assert reply.kind == "error"
+                assert reply.meta["reason"].startswith("bad frame")
 
     def test_recv_frame_cap_is_checked_before_body_read(self):
         from repro.serving.wire import recv_frame

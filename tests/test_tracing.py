@@ -22,7 +22,7 @@ Covers the observability contracts the serving stack now carries:
 * **Exports are valid** -- Chrome ``trace_event`` JSON (complete ``X``
   events, per-worker ``tid`` lanes), bounded trace-file ring retention,
   structured span log lines, and the ``/healthz`` + Prometheus text
-  endpoints on both TCP front ends.
+  endpoints on the TCP gateway.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.serving import (
     ServingEngine,
     ShardExecutor,
     ShardPool,
-    SocketServer,
     SocketTransport,
     Tracer,
     WorkerFaults,
@@ -253,17 +252,16 @@ class TestFrontEndRoots:
         spans = tracer.spans_of(session.trace_ids[0])
         root = _assert_tree_complete(spans)
         assert root["name"] == "request"
-        assert root["attrs"]["frontend"] == "async"
         by_name = _spans_by_name(spans)
         assert by_name["handle"][0]["parent_id"] == root["span_id"]
 
-    def test_threaded_frontend_mints_roots_for_untraced_clients(
+    def test_gateway_mints_roots_for_untraced_clients(
         self, registry, params, expected
     ):
         """Server-side tracing needs no client cooperation."""
         tracer = Tracer(enabled=True)
         engine = ServingEngine(registry, max_batch=1, seed=1234, tracer=tracer)
-        server = SocketServer(engine, port=0, workers=2)
+        server = AsyncGateway(engine, port=0, executor_threads=2)
         with server:
             with SocketTransport(server.host, server.port) as transport:
                 logits, session = _infer(
@@ -274,7 +272,8 @@ class TestFrontEndRoots:
         spans = tracer.spans_of(session.trace_ids[0])
         root = _assert_tree_complete(spans)
         assert root["name"] == "request"
-        assert root["attrs"]["frontend"] == "threaded"
+        handle = _spans_by_name(spans)["handle"][0]
+        assert handle["parent_id"] == root["span_id"]
 
 
 class TestShardedTraces:
@@ -487,19 +486,13 @@ class TestLoggingAndHttp:
         assert logging.getLogger("repro").level == logging.WARNING
         configure_logging("info")
 
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
-    def test_healthz_and_prometheus_endpoints(
-        self, registry, params, frontend
-    ):
+    def test_healthz_and_prometheus_endpoints(self, registry, params):
         metrics = MetricsRegistry()
         tracer = Tracer(enabled=True, metrics=metrics)
         engine = ServingEngine(
             registry, max_batch=1, seed=1234, metrics=metrics, tracer=tracer
         )
-        if frontend == "async":
-            server = AsyncGateway(engine, port=0, executor_threads=2)
-        else:
-            server = SocketServer(engine, port=0, workers=2)
+        server = AsyncGateway(engine, port=0, executor_threads=2)
         with server:
             with SocketTransport(server.host, server.port) as transport:
                 _infer(engine, params, transport=transport)
