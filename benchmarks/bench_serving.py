@@ -19,9 +19,14 @@ Measures the serving subsystem end to end over the loopback transport
 
 A second section measures request-tracing overhead on the serial
 loopback path: no tracer wired in vs a disabled :class:`Tracer` (the
-production default) vs tracing fully on.  The disabled tracer must cost
-at most ``TRACING_GATE_PCT`` (2%) throughput -- observability that is
-not off-by-default cheap does not ship.
+production default) vs tracing fully on.  The three configurations run
+interleaved, one repetition of each in rotating order, and each
+repetition yields a paired time ratio against the no-tracer run beside
+it.  The gate is on the median of those ratios: the disabled tracer may
+cost at most ``TRACING_GATE_PCT`` (2%) -- observability that is not
+off-by-default cheap does not ship.  Repetitions continue until the 95%
+confidence interval of that median is narrower than the gate, so the
+recorded spread says whether the gate decided anything.
 
 Every mode's logits are checked bit-identical to direct in-process
 :class:`GazelleProtocol` runs.  The acceptance gate is ``batched``
@@ -81,9 +86,10 @@ REPS = 3
 TRACING_GATE_PCT = 2.0
 #: Inferences per tracing-overhead repetition (serial loopback).
 TRACING_REQUESTS = 6
-#: Repetitions per tracer configuration (best run kept; interleaved
-#: round-robin so drift hits all three configurations alike).
-TRACING_REPS = 4
+#: Repetitions per tracer configuration: at least the first, at most the
+#: second; in between, stop once the median's confidence interval is
+#: narrower than the gate.
+TRACING_REPS = (21, 301)
 
 #: Every RNG in the bench is seeded from here (engine blinding masks,
 #: client keygen, images), so BENCH_serving.json is reproducible
@@ -171,52 +177,96 @@ def _run_persistent(registry, params, images, clients, max_batch, window_s=0.05)
     return elapsed, [l for client in latencies for l in client], ordered, setup_s
 
 
-def _run_traced(registry, params, images, expected, tracer):
-    """Serial persistent-session loopback pass under one tracer config.
+def _traced_session(registry, params, tracer) -> ClientSession:
+    """A connected persistent loopback session under one tracer config.
 
     Serial max_batch=1 requests make the per-request span cost the
     largest possible fraction of the measurement -- the most pessimistic
     view of tracing overhead the serving stack can produce.
     """
     engine = ServingEngine(registry, max_batch=1, seed=ENGINE_SEED, tracer=tracer)
-    transport = LoopbackTransport(engine)
     session = ClientSession(
-        demo_network(), params, transport, seed=900,
+        demo_network(), params, LoopbackTransport(engine), seed=900,
         trace_requests=tracer is not None,
     )
     session.connect("demo")
+    return session
+
+
+def _timed_requests(session, images, expected) -> float:
+    """Seconds to serve ``images`` back to back, logits checked."""
     start = time.perf_counter()
     for index, image in enumerate(images):
         logits = session.infer(image).logits
         assert np.array_equal(logits, expected[index]), (
-            f"logits diverged under tracer={tracer!r} (request {index})"
+            f"logits diverged under tracing (request {index})"
         )
-    elapsed = time.perf_counter() - start
-    session.close()
-    return elapsed
+    return time.perf_counter() - start
+
+
+def _median_interval(values):
+    """Median and its distribution-free 95% confidence interval.
+
+    The interval runs between the order statistics at 1-based ranks
+    ``n/2 - 0.98 sqrt(n)`` and ``1 + n/2 + 0.98 sqrt(n)``, rounded
+    outwards (normal approximation to the binomial).
+    """
+    ordered = sorted(values)
+    count = len(ordered)
+    half = 0.98 * count ** 0.5
+    lower = ordered[max(0, int(np.floor(count / 2 - half)) - 1)]
+    upper = ordered[min(count - 1, int(np.ceil(1 + count / 2 + half)) - 1)]
+    return float(np.median(ordered)), lower, upper
 
 
 def _measure_tracing_overhead(registry, params, images, expected):
-    """Best-of req/s for no tracer vs disabled tracer vs enabled tracer."""
-    configs = {
-        "baseline": lambda: None,
-        "disabled": lambda: Tracer(enabled=False),
-        "enabled": lambda: Tracer(enabled=True),
+    """Paired overhead of a disabled and an enabled tracer vs no tracer.
+
+    Each configuration gets one persistent session, connected up front.
+    One repetition serves ``images`` on each, in an order rotated per
+    repetition so no configuration always runs first, and gives
+    ``elapsed(config) / elapsed(baseline) - 1`` for the disabled and
+    enabled tracers; the record holds the medians of those paired ratios
+    and the width of the disabled median's confidence interval.
+    """
+    sessions = {
+        "baseline": _traced_session(registry, params, None),
+        "disabled": _traced_session(registry, params, Tracer(enabled=False)),
+        "enabled": _traced_session(registry, params, Tracer(enabled=True)),
     }
-    best = {name: float("inf") for name in configs}
-    for _ in range(TRACING_REPS):
-        for name, make in configs.items():
-            elapsed = _run_traced(registry, params, images, expected, make())
-            best[name] = min(best[name], elapsed)
-    rps = {name: len(images) / elapsed for name, elapsed in best.items()}
+    names = list(sessions)
+    min_reps, max_reps = TRACING_REPS
+    elapsed = {name: [] for name in names}
+    ratios = {"disabled": [], "enabled": []}
+    for rep in range(max_reps):
+        order = names[rep % 3:] + names[: rep % 3]
+        run = {
+            name: _timed_requests(sessions[name], images, expected)
+            for name in order
+        }
+        for name in names:
+            elapsed[name].append(run[name])
+        for name in ratios:
+            ratios[name].append((run[name] / run["baseline"] - 1.0) * 100)
+        median, lower, upper = _median_interval(ratios["disabled"])
+        if rep + 1 >= min_reps and upper - lower < TRACING_GATE_PCT:
+            break
+    for session in sessions.values():
+        session.close()
+    rps = {
+        name: len(images) / float(np.median(values))
+        for name, values in elapsed.items()
+    }
     return {
         "requests": len(images),
-        "reps": TRACING_REPS,
+        "reps": len(elapsed["baseline"]),
         "baseline_requests_per_sec": rps["baseline"],
         "disabled_requests_per_sec": rps["disabled"],
         "enabled_requests_per_sec": rps["enabled"],
-        "disabled_overhead_pct": (rps["baseline"] / rps["disabled"] - 1.0) * 100,
-        "enabled_overhead_pct": (rps["baseline"] / rps["enabled"] - 1.0) * 100,
+        "disabled_overhead_pct": median,
+        "disabled_overhead_ci95_pct": [lower, upper],
+        "disabled_overhead_spread_pct": upper - lower,
+        "enabled_overhead_pct": _median_interval(ratios["enabled"])[0],
         "gate_pct": TRACING_GATE_PCT,
     }
 
@@ -336,12 +386,13 @@ def test_serving_throughput():
 
     print(
         f"\ntracing overhead (serial loopback, {tracing['requests']} requests, "
-        f"best of {tracing['reps']}):"
+        f"median of {tracing['reps']} paired repetitions):"
     )
     print(
         f"  no tracer {tracing['baseline_requests_per_sec']:.2f} req/s | "
         f"disabled {tracing['disabled_requests_per_sec']:.2f} req/s "
-        f"({tracing['disabled_overhead_pct']:+.2f}%) | "
+        f"({tracing['disabled_overhead_pct']:+.2f}%, 95% CI width "
+        f"{tracing['disabled_overhead_spread_pct']:.2f}%) | "
         f"enabled {tracing['enabled_requests_per_sec']:.2f} req/s "
         f"({tracing['enabled_overhead_pct']:+.2f}%); "
         f"gate: disabled <= {TRACING_GATE_PCT}%"
@@ -373,8 +424,9 @@ def test_serving_throughput():
             batched_stats["requests_per_sec"] / persist_stats["requests_per_sec"]
         ),
         "latency_vs_clients": sweep,
-        # Serial loopback req/s with no tracer wired in, with a disabled
-        # tracer (the production default), and with tracing fully on.
+        # Serial loopback req/s (median) with no tracer wired in, with a
+        # disabled tracer (the production default), and with tracing fully
+        # on; overheads are medians of per-repetition paired ratios.
         "tracing": tracing,
         "logits_bit_identical_to_gazelle_protocol": True,
     }

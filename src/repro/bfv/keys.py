@@ -52,7 +52,9 @@ class KeySwitchKey:
         The key-switch inner loop multiplies every ciphertext digit
         against these same pairs on every rotation; stacking them once
         per key (instead of per rotation) keeps the hot path free of
-        repeated small-array copies.
+        repeated small-array copies.  Keys restored from the wire arrive
+        with these stacks already set, as views of the same block as the
+        pairs, so the server holds each key once.
         """
         if self._stacks is None or self._stacks[0].shape[1] < depth:
             body = np.stack([body.data for body, _ in self.pairs], axis=1)

@@ -1,13 +1,25 @@
-"""Optional compiled fast path for the batched RNS-NTT engine.
+"""Optional compiled fast path for the HE core's hot loops.
 
-:mod:`repro.bfv.ntt_batch` computes transforms with vectorised numpy
-kernels; when a C compiler is present this module compiles
-``_ntt_kernel.c`` once (cached as a shared object under ``build/ntt`` in
-the repository root, keyed by a hash of the source) and exposes it via
-:mod:`ctypes`.  Everything degrades silently: no compiler, a failed
-build, or ``REPRO_NTT_NATIVE=0`` in the environment all yield ``None``
-from :func:`load_kernel` and the engine stays on the numpy path.  The two
-paths are bit-identical, so which one runs is purely a matter of speed.
+``_ntt_kernel.c`` holds every native kernel of the HE datapath:
+
+* the batched negacyclic NTT and its inverse (:mod:`repro.bfv.ntt_batch`);
+* the key-switch / plaintext multiply-accumulate behind
+  :meth:`~repro.bfv.ntt_batch.RnsNttEngine.pointwise_accumulate`, with an
+  optional gather index for hoisted rotations;
+* the fused CRT compose -> base-2^``a_dcmp_bits`` digits -> per-limb
+  residues of key switching, in two-word (128-bit) arithmetic;
+* the decrypt scale-and-round ``round(t x / q) mod t``.
+
+When a C compiler is present this module compiles the source once
+(cached as a shared object under ``build/ntt`` in the repository root,
+keyed by a hash of the source) and exposes it via :mod:`ctypes`.
+Everything degrades silently: no compiler, a failed build, or
+``REPRO_NTT_NATIVE=0`` in the environment all yield ``None`` from
+:func:`load_kernel`.  The engine and the scheme then run the numpy NTT and
+MAC and the object-integer CRT, digit and rounding code -- the same code
+that serves coefficient moduli beyond two words (k*q >= 2^128) even when
+the kernel is loaded.  The paths are bit-identical, so which one runs is
+purely a matter of speed.
 
 Loading a shared object executes its constructors, so cached kernels are
 only trusted from directories owned by the current user that other users
@@ -127,11 +139,21 @@ def load_kernel() -> ctypes.CDLL | None:
             if not _is_trusted(shared_object):
                 return None
             lib = ctypes.CDLL(str(shared_object))
-            for fn in (lib.ntt_forward, lib.ntt_inverse):
+            ptr, long_ = ctypes.c_void_p, ctypes.c_long
+            signatures = {
+                "ntt_forward": [ptr] * 7 + [long_] * 3 + [ptr],
+                "ntt_inverse": [ptr] * 7 + [long_] * 3 + [ptr],
+                "mac_accumulate": [ptr, long_, long_, ptr, long_, long_]
+                + [ptr] * 3 + [long_] * 3 + [ptr],
+                "crt_digits": [ptr, long_, long_] + [ptr] * 5
+                + [long_] * 5 + [ptr],
+                "crt_scale_round": [ptr, long_] + [ptr] * 5 + [long_] * 2
+                + [ctypes.c_uint64, ptr],
+            }
+            for name, argtypes in signatures.items():
+                fn = getattr(lib, name)
                 fn.restype = None
-                fn.argtypes = (
-                    [ctypes.c_void_p] * 7 + [ctypes.c_long] * 3 + [ctypes.c_void_p]
-                )
+                fn.argtypes = argtypes
             _KERNEL = lib
         except Exception:
             _KERNEL = None

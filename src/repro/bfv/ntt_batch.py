@@ -31,12 +31,30 @@ additionally routes through the compiled kernel in ``_ntt_kernel.c``
 (see :mod:`repro.bfv.native`), which is another ~5x on top of the numpy
 path; tests cross-check all three implementations.
 
+The engine is also the home of the rest of the native key-switch
+datapath, each kernel bit-identical to the code it replaces:
+
+* :meth:`RnsNttEngine.pointwise_accumulate` -- the key-switch and
+  plaintext multiply-accumulate, with one reduction per output (plus one
+  per ~16 terms at 30-bit primes) and an optional gather index that
+  applies a hoisted rotation's slot permutation on the fly;
+* :meth:`RnsNttEngine.crt_digits` -- CRT compose, base-2^``a_dcmp_bits``
+  digit split and per-limb reduction in one two-word pass;
+* :meth:`RnsNttEngine.crt_scale_round` -- the decrypt ``round(t x / q)
+  mod t``.
+
+``REPRO_NTT_NATIVE=0`` (or no compiler) disables all of them: transforms
+and MACs run on numpy, and the two CRT methods return None so
+:class:`~repro.bfv.scheme.BfvScheme` takes its object-integer path, as it
+also does for coefficient moduli beyond two words (``k*q >= 2^128``).
+
 Engines are memoized by ``(n, moduli)`` via :func:`get_engine`, so the
 scheme, encoder, and profiler share one set of twiddle tables.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import weakref
@@ -52,6 +70,11 @@ from .ntt import NttContext, bit_reverse_indices
 SHOUP_SHIFT = np.uint64(32)
 
 _U2 = np.uint64(2)
+
+
+def _ptr(array: np.ndarray) -> int:
+    """Address of an array's first element, for a ctypes ``c_void_p``."""
+    return array.ctypes.data
 
 
 def _shoup(table: np.ndarray, modulus: int, shift: int) -> np.ndarray:
@@ -149,6 +172,9 @@ class RnsNttEngine:
         self._plans: dict[int, dict] = {}
 
         self._kernel = None
+        #: Two-word CRT constants; None without the kernel or when q needs
+        #: more than two words.
+        self._crt: dict | None = None
         if use_native is None or use_native:
             self._kernel = native.load_kernel()
         if self._kernel is not None:
@@ -203,7 +229,24 @@ class RnsNttEngine:
                 [_shoup(self._iscale_raw[i], m, 64) for i, m in enumerate(moduli)]
             ),
             "p": np.array(moduli, dtype=np.uint64),
+            "mu": np.array([(1 << 64) // m for m in moduli], dtype=np.uint64),
         }
+        q = math.prod(moduli)
+        if self.count * q < 1 << 128:
+            punctured = [q // m for m in moduli]
+            qinv = [pow(qi % m, -1, m) for qi, m in zip(punctured, moduli)]
+            mask = (1 << 64) - 1
+            self._crt = {
+                "q": q,
+                "qinv": np.array(qinv, dtype=np.uint64),
+                "qinv_sh": np.array(
+                    [(v << 64) // m for v, m in zip(qinv, moduli)], dtype=np.uint64
+                ),
+                "punct": np.array(
+                    [(qi & mask, qi >> 64) for qi in punctured], dtype=np.uint64
+                ),
+                "q_words": np.array([q & mask, q >> 64], dtype=np.uint64),
+            }
 
     @property
     def uses_native_kernel(self) -> bool:
@@ -356,31 +399,26 @@ class RnsNttEngine:
         return out.view(np.int64)
 
     def _native_transform(self, arr: np.ndarray, forward: bool) -> np.ndarray:
-        import ctypes
-
         k, batch, n = arr.shape
         nat = self._nat
-        buf = np.ascontiguousarray(arr).astype(np.uint64)
+        # One copy: the C kernel transforms in place.
+        buf = arr.astype(np.uint64, order="C")
         # Per-call scratch keeps this path lock-free: the tables are
         # read-only and ctypes releases the GIL during the C call, so
         # concurrent serving threads transform without convoying on a
         # shared-engine lock.
         scratch = np.empty(n, dtype=np.uint64)
-
-        def ptr(a):
-            return a.ctypes.data_as(ctypes.c_void_p)
-
         if forward:
             self._kernel.ntt_forward(
-                ptr(buf), ptr(nat["perm"]), ptr(nat["psi"]), ptr(nat["psi_sh"]),
-                ptr(nat["tw"]), ptr(nat["tw_sh"]), ptr(nat["p"]),
-                k, batch, n, ptr(scratch),
+                _ptr(buf), _ptr(nat["perm"]), _ptr(nat["psi"]), _ptr(nat["psi_sh"]),
+                _ptr(nat["tw"]), _ptr(nat["tw_sh"]), _ptr(nat["p"]),
+                k, batch, n, _ptr(scratch),
             )
         else:
             self._kernel.ntt_inverse(
-                ptr(buf), ptr(nat["perm"]), ptr(nat["iscale"]), ptr(nat["iscale_sh"]),
-                ptr(nat["itw"]), ptr(nat["itw_sh"]), ptr(nat["p"]),
-                k, batch, n, ptr(scratch),
+                _ptr(buf), _ptr(nat["perm"]), _ptr(nat["iscale"]), _ptr(nat["iscale_sh"]),
+                _ptr(nat["itw"]), _ptr(nat["itw_sh"]), _ptr(nat["p"]),
+                k, batch, n, _ptr(scratch),
             )
         return buf.view(np.int64)
 
@@ -448,16 +486,36 @@ class RnsNttEngine:
         return result
 
     def pointwise_accumulate(
-        self, a: np.ndarray, b: np.ndarray, count_ops: bool = True
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        count_ops: bool = True,
+        index: np.ndarray | None = None,
     ) -> np.ndarray:
         """Sum over the batch axis of element-wise products: (k, B, n) -> (k, n).
 
         This is the key-switching inner loop (digit x key pairs) fused
         into one call; per-product modmul accounting matches running
-        :meth:`pointwise` B times.
+        :meth:`pointwise` B times.  ``index`` gathers ``a`` along its last
+        axis first (``a[:, :, index]``), so a hoisted rotation's slot
+        permutation never materialises a permuted copy of the digits.
+        Operands are reduced residues in ``[0, p_i)``.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if (
+            self._kernel is not None
+            and a.ndim == 3
+            and a.shape == b.shape
+            and a.shape[0] == self.count
+        ):
+            out = self._native_mac_accumulate(a, b, index)
+            if out is not None:
+                if count_ops:
+                    GLOBAL_COUNTERS.add_modmuls(b.size)
+                return out
+        if index is not None:
+            a = a[:, :, index]
         products = a * b
         products %= self._primes_i64[:, None, None]
         if count_ops:
@@ -465,6 +523,97 @@ class RnsNttEngine:
         acc = products.sum(axis=1)
         acc %= self._primes_i64[:, None]
         return acc
+
+    def _native_mac_accumulate(self, a, b, index):
+        k, terms, n = a.shape
+        if index is not None:
+            index = np.asarray(index, dtype=np.int64)
+            # The kernel gathers unchecked, so bounds are checked here.
+            if index.shape != (n,) or (n and (index.min() < 0 or index.max() >= n)):
+                return None
+            index = np.ascontiguousarray(index)
+        if a.strides[2] != 8:
+            a = np.ascontiguousarray(a)
+        if b.strides[2] != 8:
+            b = np.ascontiguousarray(b)
+        out = np.empty((k, n), dtype=np.int64)
+        self._kernel.mac_accumulate(
+            _ptr(a), a.strides[0] // 8, a.strides[1] // 8,
+            _ptr(b), b.strides[0] // 8, b.strides[1] // 8,
+            None if index is None else _ptr(index),
+            _ptr(self._nat["p"]), _ptr(self._nat["mu"]),
+            k, terms, n, _ptr(out),
+        )
+        return out
+
+    # -- two-word CRT kernels ----------------------------------------------------
+
+    def _crt_input(self, stack: np.ndarray, ndim: int) -> np.ndarray:
+        stack = np.asarray(stack, dtype=np.int64)
+        if stack.ndim != ndim or stack.shape[0] != self.count:
+            raise ValueError(
+                f"expected a {ndim}-d residue stack with {self.count} limbs, "
+                f"got {stack.shape}"
+            )
+        return stack if stack.strides[-1] == 8 else np.ascontiguousarray(stack)
+
+    def crt_digits(
+        self, stack: np.ndarray, base_bits: int, num_digits: int
+    ) -> np.ndarray | None:
+        """Native fused CRT compose -> digits -> residues; None when unavailable.
+
+        ``stack`` is a coefficient-domain ``(k, B, n)`` stack of residues
+        in ``[0, p_i)``.  The result is ``(k, B * num_digits, n)``: row
+        ``b * num_digits + d`` holds base-``2^base_bits`` digit ``d`` of polynomial ``b`` reduced
+        mod each prime -- bit-identical to composing with
+        :meth:`~repro.bfv.rns.RnsBasis.compose`, splitting with
+        :func:`~repro.bfv.decompose.digit_decompose` and reducing with
+        :meth:`~repro.bfv.rns.RnsBasis.decompose_stack`.  Returns None
+        (the caller takes that object path) without the kernel, when
+        ``k * q >= 2^128``, or when the digits cannot cover q in 64-bit
+        words.
+        """
+        tables = self._crt
+        if (
+            tables is None
+            or not 1 <= base_bits <= 64
+            or num_digits * base_bits < tables["q"].bit_length()
+        ):
+            return None
+        x = self._crt_input(stack, 3)
+        k, batch, n = x.shape
+        out = np.empty((k, batch * num_digits, n), dtype=np.int64)
+        nat = self._nat
+        self._kernel.crt_digits(
+            _ptr(x), x.strides[0] // 8, x.strides[1] // 8,
+            _ptr(nat["p"]), _ptr(tables["qinv"]), _ptr(tables["qinv_sh"]),
+            _ptr(tables["punct"]), _ptr(tables["q_words"]),
+            k, batch, n, base_bits, num_digits, _ptr(out),
+        )
+        return out
+
+    def crt_scale_round(self, stack: np.ndarray, t: int) -> np.ndarray | None:
+        """Native ``round(t * x / q) mod t`` of a ``(k, n)`` coefficient stack.
+
+        The BFV decrypt rounding, bit-identical to
+        ``(x * t * 2 + q) // (2 * q) % t`` on the composed coefficients.
+        Returns None (object path) without the kernel or unless
+        ``(2t + 1) * q < 2^128``.
+        """
+        tables = self._crt
+        if tables is None or t >= 1 << 63 or (2 * t + 1) * tables["q"] >= 1 << 128:
+            return None
+        x = self._crt_input(stack, 2)
+        k, n = x.shape
+        out = np.empty(n, dtype=np.int64)
+        nat = self._nat
+        self._kernel.crt_scale_round(
+            _ptr(x), x.strides[0] // 8,
+            _ptr(nat["p"]), _ptr(tables["qinv"]), _ptr(tables["qinv_sh"]),
+            _ptr(tables["punct"]), _ptr(tables["q_words"]),
+            k, n, t, _ptr(out),
+        )
+        return out
 
     def pointwise_accumulate_grouped(
         self, a: np.ndarray, b: np.ndarray, count_ops: bool = True

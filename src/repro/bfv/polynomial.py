@@ -154,6 +154,24 @@ def galois_automorphism_coeffs(coeffs: np.ndarray, galois_elt: int, modulus: int
     return result % modulus
 
 
+def galois_automorphism_residues(
+    residues: np.ndarray, galois_elt: int, primes_column: np.ndarray
+) -> np.ndarray:
+    """:func:`galois_automorphism_coeffs` on a ``(k, n)`` residue stack.
+
+    The automorphism only moves coefficients and negates some, so it
+    commutes with the CRT: applied limb by limb to residues in
+    ``[0, p_i)`` it composes to exactly the big-integer result.
+    """
+    k, n = residues.shape
+    indices = (np.arange(n, dtype=np.int64) * galois_elt) % (2 * n)
+    wrap = indices >= n
+    result = np.empty_like(residues)
+    result[:, indices[~wrap]] = residues[:, ~wrap]
+    result[:, indices[wrap] - n] = (-residues[:, wrap]) % primes_column
+    return result
+
+
 def eval_domain_galois_map(n: int, galois_elt: int) -> np.ndarray:
     """Permutation applying x -> x^g directly on natural-order evaluations.
 

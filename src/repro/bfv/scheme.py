@@ -34,6 +34,7 @@ from .polynomial import (
     RnsPolynomial,
     eval_domain_galois_map,
     galois_automorphism_coeffs,
+    galois_automorphism_residues,
 )
 
 
@@ -287,16 +288,23 @@ class BfvScheme:
         is positive) -- beyond that, decryption corrupts silently, which
         is what HE-PTune's Table III bounds guard against.
         """
-        w = self._raw_decrypt(ct, secret)
+        combined = self._decrypt_residues(ct, secret)
         params = self.params
         t, q = params.plain_modulus, params.coeff_modulus
-        message = ((w * t * 2 + q) // (2 * q)) % t
+        message = self.engine.crt_scale_round(combined.data, t)
+        if message is None:
+            w = combined.bigint_coeffs()
+            message = ((w * t * 2 + q) // (2 * q)) % t
         return Plaintext(message.astype(np.int64))
+
+    def _decrypt_residues(self, ct: Ciphertext, secret: SecretKey) -> RnsPolynomial:
+        """(c0 + c1 * s) mod q in the coefficient domain."""
+        combined = ct.c0.add(ct.c1.pointwise(secret.eval_poly, self.engine))
+        return combined.to_coeff(self.engine)
 
     def _raw_decrypt(self, ct: Ciphertext, secret: SecretKey) -> np.ndarray:
         """Return (c0 + c1 * s) mod q as big-integer coefficients."""
-        combined = ct.c0.add(ct.c1.pointwise(secret.eval_poly, self.engine))
-        return combined.bigint_coeffs(self.engine)
+        return self._decrypt_residues(ct, secret).bigint_coeffs()
 
     # -- HE operators ---------------------------------------------------------
 
@@ -454,30 +462,52 @@ class BfvScheme:
         # c0 transforms by a pure slot permutation in the evaluation domain.
         c0_rotated = ct.c0.permute(eval_map)
 
-        # c1 requires key switching: INTT -> automorphism -> digit
-        # decomposition -> one batched NTT over all digits -> fused SIMD
-        # multiply-accumulate against the key-switch key pairs.
-        c1_coeffs = ct.c1.bigint_coeffs(self.engine)
-        c1_rotated = galois_automorphism_coeffs(
-            c1_coeffs, galois_elt, params.coeff_modulus
+        # c1 requires key switching: INTT -> automorphism (on residues; it
+        # commutes with the CRT) -> digit decomposition -> one batched NTT
+        # over all digits -> fused SIMD multiply-accumulate against the
+        # key-switch key pairs.
+        c1_rotated = galois_automorphism_residues(
+            self.engine.inverse(ct.c1.data),
+            galois_elt,
+            params.coeff_basis.primes_column,
         )
-        digits = digit_decompose(c1_rotated, params.a_dcmp_bits, params.l_ct)
-        digit_evals = self.engine.forward(
-            params.coeff_basis.decompose_stack(digits)
-        )
+        digit_evals = self.engine.forward(self._digit_residues(c1_rotated[:, None]))
         acc0, acc1 = self._keyswitch_accumulate(digit_evals, ksk)
         return Ciphertext(c0_rotated.add(acc0), acc1)
 
+    def _digit_residues(self, coeffs: np.ndarray) -> np.ndarray:
+        """Gadget digits of a coefficient-domain ``(k, B, n)`` stack, per limb.
+
+        Returns ``(k, B * l_ct, n)`` with polynomial b's digit d at row
+        ``b * l_ct + d``.  The native two-word kernel does CRT compose,
+        digit split and per-limb reduction in one pass; bases beyond two
+        words (or no kernel) take the object-integer path.
+        """
+        params = self.params
+        digits = self.engine.crt_digits(coeffs, params.a_dcmp_bits, params.l_ct)
+        if digits is not None:
+            return digits
+        basis = params.coeff_basis
+        composed = basis.compose(coeffs)
+        split = digit_decompose(composed, params.a_dcmp_bits, params.l_ct)
+        return basis.decompose_stack(np.stack(split, axis=1).reshape(-1, params.n))
+
     def _keyswitch_accumulate(
-        self, digit_evals: np.ndarray, ksk: KeySwitchKey
+        self,
+        digit_evals: np.ndarray,
+        ksk: KeySwitchKey,
+        index: np.ndarray | None = None,
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Fused sum over digits of digit * (body, a), shape (k, B, n) -> (k, n)."""
+        """Fused sum over digits of digit * (body, a), shape (k, B, n) -> (k, n).
+
+        ``index`` is a slot permutation applied to the digits on the fly.
+        """
         basis = self.params.coeff_basis
         depth = min(digit_evals.shape[1], len(ksk.pairs))
         digit_evals = digit_evals[:, :depth]
         body_stack, a_stack = ksk.stacks(depth)
-        acc0 = self.engine.pointwise_accumulate(digit_evals, body_stack)
-        acc1 = self.engine.pointwise_accumulate(digit_evals, a_stack)
+        acc0 = self.engine.pointwise_accumulate(digit_evals, body_stack, index=index)
+        acc1 = self.engine.pointwise_accumulate(digit_evals, a_stack, index=index)
         return (
             RnsPolynomial(basis, acc0, Domain.EVAL),
             RnsPolynomial(basis, acc1, Domain.EVAL),
@@ -498,11 +528,8 @@ class BfvScheme:
         then only slot permutations plus 2*l_ct SIMD multiplies.
         """
         params = self.params
-        c1_coeffs = ct.c1.bigint_coeffs(self.engine)
-        digits = digit_decompose(c1_coeffs, params.a_dcmp_bits, params.l_ct)
-        digit_evals = self.engine.forward(
-            params.coeff_basis.decompose_stack(digits)
-        )
+        c1_coeffs = self.engine.inverse(ct.c1.data)
+        digit_evals = self.engine.forward(self._digit_residues(c1_coeffs[:, None]))
         digit_polys = [
             RnsPolynomial(params.coeff_basis, digit_evals[:, b], Domain.EVAL)
             for b in range(digit_evals.shape[1])
@@ -530,8 +557,9 @@ class BfvScheme:
             eval_map = eval_domain_galois_map(params.n, galois_elt)
             self._galois_eval_maps[galois_elt] = eval_map
         c0_rotated = hoisted.c0.permute(eval_map)
-        digit_evals = hoisted.digit_stack()[:, :, eval_map]
-        acc0, acc1 = self._keyswitch_accumulate(digit_evals, ksk)
+        acc0, acc1 = self._keyswitch_accumulate(
+            hoisted.digit_stack(), ksk, index=eval_map
+        )
         return Ciphertext(c0_rotated.add(acc0), acc1)
 
     # -- cross-request batched operators ---------------------------------------
@@ -562,13 +590,8 @@ class BfvScheme:
         c1_coeff = self.engine.inverse(
             np.stack([ct.c1.data for ct in cts], axis=1)
         )
-        # (B, n) big-integer coefficients, composed in one vectorised pass.
-        coeffs = basis.compose(c1_coeff)
-        digits = digit_decompose(coeffs, params.a_dcmp_bits, params.l_ct)
-        # Digit-major per client: stack to (B, l_ct, n) then flatten so
-        # client i's digit b lands at row i * l_ct + b.
-        flat = np.stack(digits, axis=1).reshape(batch * params.l_ct, params.n)
-        digit_evals = self.engine.forward(basis.decompose_stack(flat))
+        # Client i's digit b lands at row i * l_ct + b.
+        digit_evals = self.engine.forward(self._digit_residues(c1_coeff))
         return HoistedGroup(
             c0_list=[ct.c0.copy() for ct in cts],
             digits=digit_evals.reshape(
@@ -629,14 +652,11 @@ class BfvScheme:
         depth = min(group.digits.shape[2], min(len(k.pairs) for k in ksks))
         outputs = []
         for i, (c0, ksk) in enumerate(zip(group.c0_list, ksks)):
-            # Per-client permute keeps the MAC operands contiguous (a
-            # whole-batch fancy index would leave strided views).  Two
-            # indexing steps: combining the scalar i with the eval_map
-            # array would trigger numpy's advanced-index axis reordering.
-            permuted = group.digits[:, i][:, :depth, eval_map]
+            # The MAC gathers the permuted slots itself.
+            digits = group.digits[:, i, :depth]
             body_stack, a_stack = ksk.stacks(depth)
-            acc0 = self.engine.pointwise_accumulate(permuted, body_stack)
-            acc1 = self.engine.pointwise_accumulate(permuted, a_stack)
+            acc0 = self.engine.pointwise_accumulate(digits, body_stack, index=eval_map)
+            acc1 = self.engine.pointwise_accumulate(digits, a_stack, index=eval_map)
             outputs.append(
                 Ciphertext(
                     c0.permute(eval_map).add(

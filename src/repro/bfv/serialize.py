@@ -274,24 +274,33 @@ def deserialize_galois_keys(blob: bytes, params: BfvParameters):
     for element in elements:
         if not (0 < element < two_n) or element % 2 == 0:
             raise ValueError(f"invalid Galois element {element} (n={params.n})")
-    count = params.coeff_basis.count * params.n
+    basis = params.coeff_basis
+    count = basis.count * params.n
     _check_body_size(body, len(elements) * pairs_per_key * 2 * count, "galois keys")
-    offset = 0
-
-    def next_poly(what: str) -> RnsPolynomial:
-        nonlocal offset
-        data = _read_residues(body, offset, params, what)
-        offset += count
-        return RnsPolynomial(params.coeff_basis, data, Domain.EVAL)
+    shape = (len(elements), pairs_per_key, 2, basis.count, params.n)
+    wire = np.frombuffer(body, dtype="<i8").reshape(shape)
+    bad = ((wire < 0) | (wire >= basis.primes_column)).any(axis=(1, 2, 3, 4))
+    if bad.any():
+        element = elements[int(np.argmax(bad))]
+        raise ValueError(f"galois key {element} contains residues outside [0, p_i)")
+    # One allocation for every key of the session: the pairs and the
+    # (k, l_ct, n) stacks the key-switch MAC reads are views into it, so
+    # the keys are held once and freed as one block when the session ends.
+    residues = wire.astype(np.int64)
 
     keys = GaloisKeys()
-    for element in elements:
+    for index, element in enumerate(elements):
+        block = residues[index]  # (l_ct, 2, k, n)
         pairs = [
             (
-                next_poly(f"galois key {element} body"),
-                next_poly(f"galois key {element} a"),
+                RnsPolynomial(basis, block[j, 0], Domain.EVAL),
+                RnsPolynomial(basis, block[j, 1], Domain.EVAL),
             )
-            for _ in range(pairs_per_key)
+            for j in range(pairs_per_key)
         ]
-        keys.keys[element] = KeySwitchKey(pairs=pairs, base_bits=header["base_bits"])
+        keys.keys[element] = KeySwitchKey(
+            pairs=pairs,
+            base_bits=header["base_bits"],
+            _stacks=(block[:, 0].swapaxes(0, 1), block[:, 1].swapaxes(0, 1)),
+        )
     return keys

@@ -275,3 +275,113 @@ class TestEngineConstruction:
             numpy_engine.inverse(stack, count_ops=False),
             native_engine.inverse(stack, count_ops=False),
         )
+
+
+def default_engine(n, moduli):
+    """The engine the scheme would get: native unless REPRO_NTT_NATIVE=0
+    or no compiler (then these tests pin the numpy path to itself)."""
+    engine = RnsNttEngine(n, moduli, use_native=None)
+    assert engine.uses_native_kernel == native_available()
+    return engine
+
+
+def mac_chunk(p):
+    """Terms the native MAC accumulates between reductions for prime p."""
+    return ((1 << 64) - 1 - (p - 1)) // (p - 1) ** 2
+
+
+class TestNativeMac:
+    """The native multiply-accumulate against the numpy MAC, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def primes30(self):
+        return generate_ntt_primes(30, N, K)
+
+    @pytest.fixture(scope="class")
+    def pair(self, primes30):
+        return (
+            RnsNttEngine(N, primes30, use_native=False),
+            default_engine(N, primes30),
+        )
+
+    def test_chunk_length_at_30_bit_primes(self, primes30):
+        assert all(mac_chunk(p) >= 15 for p in primes30)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_term_counts_around_the_reduction_chunk(self, pair, primes30, offset):
+        fallback, fast = pair
+        chunk = min(mac_chunk(p) for p in primes30)
+        terms = 2 * chunk + 1 if offset is None else chunk + offset
+        a = random_stack(primes30, (terms, N), seed=30 + terms)
+        b = random_stack(primes30, (terms, N), seed=31 + terms)
+        assert np.array_equal(
+            fast.pointwise_accumulate(a, b), fallback.pointwise_accumulate(a, b)
+        )
+
+    @pytest.mark.parametrize("terms", [1, 16, 17, 33])
+    def test_all_maximum_operands(self, pair, primes30, terms):
+        fallback, fast = pair
+        top = np.array(primes30, dtype=np.int64)[:, None, None] - 1
+        a = np.broadcast_to(top, (K, terms, N)).copy()
+        got = fast.pointwise_accumulate(a, a)
+        assert np.array_equal(got, fallback.pointwise_accumulate(a, a))
+        # (p-1)^2 = 1 mod p, so the sum of T terms is T mod p.
+        assert np.array_equal(got[:, 0], terms % np.array(primes30, dtype=np.int64))
+
+    def test_sliced_and_strided_views(self, pair, primes30):
+        fallback, fast = pair
+        a = random_stack(primes30, (9, 2 * N), seed=40)
+        b = random_stack(primes30, (12, N), seed=41)
+        a_view = a[:, 1:8:2, ::2]  # strided terms and a non-contiguous last axis
+        b_view = b[:, 2:6]
+        assert np.array_equal(
+            fast.pointwise_accumulate(a_view, b_view),
+            fallback.pointwise_accumulate(a_view, b_view),
+        )
+
+    def test_gather_index(self, pair, primes30):
+        fallback, fast = pair
+        a = random_stack(primes30, (7, N), seed=42)
+        b = random_stack(primes30, (7, N), seed=43)
+        index = np.random.default_rng(44).permutation(N)
+        got = fast.pointwise_accumulate(a[:, :5], b[:, :5], index=index)
+        assert np.array_equal(
+            got, fallback.pointwise_accumulate(a[:, :5], b[:, :5], index=index)
+        )
+        assert np.array_equal(
+            got, fallback.pointwise_accumulate(a[:, :5, index], b[:, :5])
+        )
+
+    def test_out_of_range_index_takes_the_checked_path(self, pair, primes30):
+        _, fast = pair
+        a = random_stack(primes30, (2, N), seed=45)
+        with pytest.raises(IndexError):
+            fast.pointwise_accumulate(a, a, index=np.full(N, N, dtype=np.int64))
+
+    def test_modmul_counts_match_numpy(self, pair, primes30):
+        fallback, fast = pair
+        a = random_stack(primes30, (6, N), seed=46)
+        b = random_stack(primes30, (6, N), seed=47)
+        index = np.arange(N)[::-1].copy()
+        counts = []
+        for engine in (fallback, fast):
+            before = GLOBAL_COUNTERS.snapshot()
+            engine.pointwise_accumulate(a, b)
+            engine.pointwise_accumulate(a, b, index=index)
+            engine.pointwise_accumulate(a, b, count_ops=False)
+            counts.append(GLOBAL_COUNTERS.diff(before).modmuls)
+        assert counts[0] == counts[1] == 2 * 6 * K * N
+
+    def test_scheme_engine_mac_matches_numpy(self, small_scheme):
+        """The memoized engine the scheme uses (native or not, per
+        REPRO_NTT_NATIVE) agrees with a numpy-only engine."""
+        engine = small_scheme.engine
+        moduli = engine.moduli
+        fallback = RnsNttEngine(engine.n, moduli, use_native=False)
+        a = random_stack(moduli, (5, engine.n), seed=48)
+        b = random_stack(moduli, (5, engine.n), seed=49)
+        index = np.random.default_rng(50).permutation(engine.n)
+        assert np.array_equal(
+            engine.pointwise_accumulate(a, b, index=index),
+            fallback.pointwise_accumulate(a, b, index=index),
+        )

@@ -12,6 +12,7 @@ from repro.bfv.polynomial import (
     RnsPolynomial,
     eval_domain_galois_map,
     galois_automorphism_coeffs,
+    galois_automorphism_residues,
 )
 from repro.bfv.rns import RnsBasis
 
@@ -128,6 +129,14 @@ class TestGaloisAutomorphism:
         direct = RnsPolynomial.from_bigint_coeffs(basis, rotated_coeffs).to_eval(engine)
         permuted = a.to_eval(engine).permute(eval_domain_galois_map(N, galois_elt))
         assert np.array_equal(direct.data, permuted.data)
+
+    @pytest.mark.parametrize("galois_elt", [1, 3, 9, 2 * N - 1])
+    def test_residue_form_commutes_with_crt(self, basis, galois_elt):
+        """Limb-wise automorphism of residues == automorphism of bigints."""
+        a, ca = random_poly(basis, 16)
+        expected = basis.decompose(galois_automorphism_coeffs(ca, galois_elt, basis.modulus))
+        got = galois_automorphism_residues(a.data, galois_elt, basis.primes_column)
+        assert np.array_equal(got, expected)
 
     def test_identity_element(self, basis, engine):
         a, ca = random_poly(basis, 15)

@@ -107,6 +107,30 @@ class TestGaloisKeys:
         )
         assert np.array_equal(decoded, np.roll(values, -3))
 
+    def test_restored_keys_are_one_block(self, small_scheme, small_keys):
+        """Every restored key's pairs and MAC stacks view one allocation,
+        and the stacks equal the pairs stacked by digit."""
+        from repro.bfv.serialize import (
+            deserialize_galois_keys,
+            serialize_galois_keys,
+        )
+
+        secret, _ = small_keys
+        keys = small_scheme.generate_galois_keys(secret, [1, 2, 5])
+        restored = deserialize_galois_keys(
+            serialize_galois_keys(keys, small_scheme.params), small_scheme.params
+        )
+        l_ct = small_scheme.params.l_ct
+        bases = set()
+        for element, key in restored.keys.items():
+            body, a = key.stacks(l_ct)
+            original_body, original_a = keys.keys[element].stacks(l_ct)
+            assert np.array_equal(body, original_body)
+            assert np.array_equal(a, original_a)
+            views = [body, a] + [poly.data for pair in key.pairs for poly in pair]
+            bases.update(id(view.base) for view in views)
+        assert len(bases) == 1
+
     def test_type_validation(self, small_scheme):
         from repro.bfv.serialize import serialize_galois_keys
 
